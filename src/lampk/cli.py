@@ -138,7 +138,13 @@ def cmd_k1(args) -> int:
 
 def cmd_claim_check(args) -> int:
     group = _parse_group(args.group)
-    budget = int(os.environ.get("LAMPK_BUDGET_COLS", DEFAULT_COLUMN_BUDGET))
+    raw_budget = os.environ.get("LAMPK_BUDGET_COLS", DEFAULT_COLUMN_BUDGET)
+    try:
+        budget = int(raw_budget)
+    except ValueError:
+        raise UsageError(
+            f"LAMPK_BUDGET_COLS must be an integer, got {raw_budget!r}"
+        ) from None
     cert = claim_check(group, args.levels, budget=budget)
     _emit(
         {
@@ -234,7 +240,7 @@ def cmd_cylinder_expand(args) -> int:
     raw = _parse_json_arg("--spec", args.spec)
     if not isinstance(raw, dict):
         raise UsageError("--spec: expected an object of position -> value")
-    spec = CylinderSpec({int(k): int(v) for k, v in raw.items()})
+    spec = CylinderSpec(raw)
     chain = cylinder_to_chain(group, spec)
     _emit({"group": group.name, "chain": jsonio.chain_to_json(chain)})
     return 0

@@ -125,7 +125,10 @@ class CylinderSpec:
     def __init__(self, constraints: Mapping[int, int] | None = None):
         cleaned = {}
         for pos, idx in (constraints or {}).items():
-            pos, idx = int(pos), int(idx)
+            try:
+                pos, idx = int(pos), int(idx)
+            except (TypeError, ValueError) as exc:
+                raise LampkError(f"malformed cylinder constraint: {exc}") from exc
             if idx < 0:
                 raise LampkError(f"constraint value must be >= 0, got {idx}")
             cleaned[pos] = idx
@@ -152,7 +155,7 @@ def cylinder_to_chain(group: GroupRepData, spec: CylinderSpec) -> ZChain:
     # Each trivial position contributes either "absent" (+) or one
     # nontrivial value (-).
     options = [[(None, 1)] + [(g, -1) for g in range(1, r)] for _ in trivial_positions]
-    chain = ZChain()
+    terms = []
     for choice in product(*options):
         coeff = 1
         entries = list(fixed)
@@ -160,8 +163,8 @@ def cylinder_to_chain(group: GroupRepData, spec: CylinderSpec) -> ZChain:
             coeff *= sign
             if val is not None:
                 entries.append((pos, val))
-        chain += ZChain.of(Word(entries), coeff)
-    return chain
+        terms.append((Word(entries), coeff))
+    return ZChain(terms)
 
 
 class FunctionDecomposition(NamedTuple):

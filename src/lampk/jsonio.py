@@ -51,13 +51,12 @@ def chain_to_json(chain: ZChain) -> list:
 def chain_from_json(data: list) -> ZChain:
     if not isinstance(data, list):
         raise LampkError("chain JSON must be an array of {word, coeff} objects")
-    chain = ZChain()
-    for item in data:
-        try:
-            chain += ZChain.of(word_from_json(item["word"]), int(item["coeff"]))
-        except (KeyError, TypeError) as exc:
-            raise LampkError(f"malformed chain JSON: {exc}") from exc
-    return chain
+    try:
+        return ZChain(
+            (word_from_json(item["word"]), int(item["coeff"])) for item in data
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise LampkError(f"malformed chain JSON: {exc}") from exc
 
 
 def fraction_to_json(value: Fraction) -> dict:

@@ -153,6 +153,8 @@ def pv_check(
     group: GroupRepData, samples: int, window: int, seed: int
 ) -> PVReport:
     """Property-test the kernel/cokernel bookkeeping on seeded random chains."""
+    if samples < 1:
+        raise LampkError(f"samples must be >= 1, got {samples}")
     rng = random.Random(seed)
     positions = window_range(window)
     report = PVReport(

@@ -30,11 +30,13 @@ def random_chain(
     max_coeff: int = 9,
 ) -> ZChain:
     """Chain of up to max_terms random words, coefficients in [-max_coeff, max_coeff] \\ {0}."""
-    chain = ZChain()
+    coeffs = [c for c in range(-max_coeff, max_coeff + 1) if c]
+    terms = []
     for _ in range(rng.randint(0, max_terms)):
-        coeff = rng.choice([c for c in range(-max_coeff, max_coeff + 1) if c])
-        chain += ZChain.of(random_word(rng, group, positions), coeff)
-    return chain
+        # drawn before the word: seeded samples depend on this order
+        coeff = rng.choice(coeffs)
+        terms.append((random_word(rng, group, positions), coeff))
+    return ZChain(terms)
 
 
 def window_range(window: int) -> range:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .shiftwords import EMPTY_WORD, Word, canonicalize, shift
+from .shiftwords import Word, canonicalize, shift
 from .sparse import SparseIntVector
 
 
@@ -33,21 +33,6 @@ class ZChain(SparseIntVector):
         return f"ZChain<{body}>"
 
 
-ZERO = ZChain()
-
-
-def add(a: ZChain, b: ZChain) -> ZChain:
-    return a + b
-
-
-def negate(chain: ZChain) -> ZChain:
-    return -chain
-
-
-def scale(chain: ZChain, n: int) -> ZChain:
-    return chain * n
-
-
 def alpha(chain: ZChain, k: int = 1) -> ZChain:
     """The shift applied to every basis word (k-fold; k may be negative)."""
     if k == 0:
@@ -58,11 +43,6 @@ def alpha(chain: ZChain, k: int = 1) -> ZChain:
 def is_invariant(chain: ZChain) -> bool:
     """True iff alpha(chain) == chain, i.e. chain is a multiple of [empty]."""
     return all(w.is_empty for w in chain)
-
-
-def invariant_basis() -> ZChain:
-    """Generator of the invariants subgroup: the empty-word chain."""
-    return ZChain.of(EMPTY_WORD)
 
 
 class Decomposition(NamedTuple):
@@ -79,17 +59,13 @@ def decompose(chain: ZChain) -> Decomposition:
     representative with offset 0), which makes the output deterministic:
     the ambiguity in the witness is exactly the invariants subgroup.
     """
-    witness = ZChain()
-    canonical = ZChain()
-    for word, coeff in chain.items():
-        rep, offset = canonicalize(word)
-        canonical += ZChain.of(rep, coeff)
-        if offset > 0:
-            steps = ZChain((shift(rep, j), -coeff) for j in range(offset))
-            witness += steps
-        elif offset < 0:
-            steps = ZChain((shift(rep, j), coeff) for j in range(offset, 0))
-            witness += steps
+    split = [(canonicalize(word), coeff) for word, coeff in chain.items()]
+    witness = ZChain(
+        (shift(rep, j), -coeff if offset > 0 else coeff)
+        for (rep, offset), coeff in split
+        for j in range(min(offset, 0), max(offset, 0))
+    )
+    canonical = ZChain((rep, coeff) for (rep, _), coeff in split)
     return Decomposition(witness=witness, canonical=canonical)
 
 

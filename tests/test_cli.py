@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -127,6 +128,21 @@ def test_claim_check_budget_env(capsys, monkeypatch):
     assert json.loads(err)["error"]["type"] == "BudgetError"
 
 
+def test_claim_check_budget_env_not_integer_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("LAMPK_BUDGET_COLS", "lots")
+    with pytest.raises(SystemExit) as exc:
+        main(["claim-check", "--group", "C2", "--levels", "3"])
+    assert exc.value.code == 2
+
+
+def test_claim_check_c2_level_12_is_fast(capsys):
+    start = time.monotonic()
+    data = run_json(capsys, "claim-check", "--group", "C2", "--levels", "12")
+    assert time.monotonic() - start < 5
+    assert data["size"] == 8190
+    assert data["det"] == -1
+
+
 def test_pv_check(capsys):
     data = run_json(
         capsys,
@@ -136,6 +152,13 @@ def test_pv_check(capsys):
     assert data["passed"] is True
     assert data["seed"] == 9
     assert data["counterexamples"] == 0
+
+
+def test_pv_check_rejects_negative_samples(capsys):
+    code, out, err = run_cli(capsys, "pv-check", "--group", "C2", "--samples", "-5")
+    assert code == 1
+    assert out == ""
+    assert "samples" in json.loads(err)["error"]["message"]
 
 
 def test_trace(capsys):
@@ -160,6 +183,14 @@ def test_decompose_file_and_inline(capsys, tmp_path):
     assert from_file == data
 
 
+def test_decompose_fractional_coeff_is_domain_error(capsys):
+    chain_json = '[{"word": {"entries": {"0": 1}}, "coeff": "1.5"}]'
+    code, out, err = run_cli(capsys, "decompose", "--group", "C2", "--fn", chain_json)
+    assert code == 1
+    assert out == ""
+    assert "error" in json.loads(err)
+
+
 def test_livsic(capsys):
     chain_json = '[{"word": {"entries": {"0": 1}}, "coeff": 1}]'
     data = run_json(
@@ -177,6 +208,15 @@ def test_cylinder_expand(capsys):
     )
     chain = jsonio.chain_from_json(data["chain"])
     assert chain == ZChain.of(Word({1: 1})) - ZChain.of(Word({0: 1, 1: 1}))
+
+
+def test_cylinder_spec_non_integer_key_is_domain_error(capsys):
+    code, out, err = run_cli(
+        capsys, "cylinder-expand", "--group", "C2", "--spec", '{"a":0}'
+    )
+    assert code == 1
+    assert out == ""
+    assert "error" in json.loads(err)
 
 
 def test_nonabelian_fullshift_is_domain_error(capsys):

@@ -22,6 +22,16 @@ from lampk.grouprep import builtin
 tuples_st = st.lists(st.integers(0, 2), min_size=1, max_size=4).map(tuple)
 
 
+def dense_rows(columns):
+    """The sparse certificate columns as a dense list of rows."""
+    n = len(columns)
+    rows = [[0] * n for _ in range(n)]
+    for j, column in enumerate(columns):
+        for i, value in column:
+            rows[i][j] += value
+    return rows
+
+
 def test_s_and_r_maps():
     assert s_map((0,)) == (0, 0)
     assert s_map((2, 1)) == (2, 1, 0)
@@ -92,7 +102,7 @@ def test_f_apply_matches_pointwise_formula():
 def test_f_apply_agrees_with_claim_matrix_columns():
     for name, levels in (("C2", 3), ("S3", 2)):
         g = builtin(name)
-        matrix = claim_matrix(g, levels)
+        matrix = dense_rows(claim_matrix(g, levels))
         rows = [t for n in range(1, levels + 1) for t in level_tuples(g, n)]
         col = 0
         for n in range(1, levels):
@@ -182,5 +192,5 @@ def test_claim_determinant_against_fraction_oracle():
 
     for name, levels in (("C2", 2), ("C2", 3), ("S3", 2)):
         g = builtin(name)
-        matrix = claim_matrix(g, levels)
+        matrix = dense_rows(claim_matrix(g, levels))
         assert claim_check(g, levels).det == det_fractions(matrix)

@@ -7,14 +7,10 @@ from lampk import intdet
 from lampk.shiftwords import EMPTY_WORD, Word, canonicalize, shift
 from lampk.zchain import (
     ZChain,
-    add,
     alpha,
     coinvariant_class,
     decompose,
-    invariant_basis,
     is_invariant,
-    negate,
-    scale,
 )
 
 words_st = st.builds(
@@ -30,9 +26,9 @@ chains_st = st.builds(
 def test_group_arithmetic():
     x = ZChain.of(Word({0: 1}))
     y = ZChain.of(Word({1: 1}))
-    assert add(x, negate(x)) == ZChain()
-    assert scale(x + y, 2) == 2 * x + 2 * y
-    assert add(scale(x, 3), negate(x)) == scale(x, 2)
+    assert x + (-x) == ZChain()
+    assert (x + y) * 2 == 2 * x + 2 * y
+    assert x * 3 + (-x) == x * 2
     assert not ZChain()
     assert (x - x).coeff(Word({0: 1})) == 0
 
@@ -53,7 +49,7 @@ def test_is_invariant():
     c = ZChain.of(Word({0: 1})) + ZChain.of(Word({1: 1}))
     assert alpha(c) != c
     assert not is_invariant(c)
-    assert invariant_basis() == ZChain.of(EMPTY_WORD)
+    assert is_invariant(ZChain.of(EMPTY_WORD))
 
 
 @given(chains_st)

@@ -59,16 +59,26 @@ def _parse_json_arg(flag: str, text: str):
         raise UsageError(f"{flag}: invalid JSON: {exc}") from exc
 
 
-def _load_chain(path_or_json: str):
-    """--fn accepts a file path, or the chain JSON inline (starts with [)."""
+def _load_chain(path_or_json: str, group: GroupRepData):
+    """--fn accepts a file path, or the chain JSON inline (starts with [).
+
+    Every word entry must index an irrep of the group.
+    """
     text = path_or_json.strip()
     if not text.startswith("["):
         path = Path(text)
         if not path.exists():
             raise UsageError(f"--fn: no such file: {text}")
         text = path.read_text()
-    data = _parse_json_arg("--fn", text)
-    return jsonio.chain_from_json(data)
+    chain = jsonio.chain_from_json(_parse_json_arg("--fn", text))
+    for word in chain:
+        for _, idx in word.entries:
+            if idx >= group.num_irreps:
+                raise LampkError(
+                    f"word entry {idx} out of range for {group.name} "
+                    f"({group.num_irreps} irreps)"
+                )
+    return chain
 
 
 def _emit(payload, fmt: str = "json", table_lines=None) -> None:
@@ -202,7 +212,7 @@ def cmd_trace_image(args) -> int:
 
 def cmd_decompose(args) -> int:
     group = _parse_group(args.group)
-    chain = _load_chain(args.fn)
+    chain = _load_chain(args.fn, group)
     witness, canonical = coboundary_decompose(group, chain)
     _emit(
         {
@@ -216,7 +226,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_livsic(args) -> int:
     group = _parse_group(args.group)
-    chain = _load_chain(args.fn)
+    chain = _load_chain(args.fn, group)
     report = livsic_check(group, chain, max_period=args.max_period)
     _emit(
         {

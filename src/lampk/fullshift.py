@@ -6,7 +6,8 @@ maps to the sum of indicator functions of its words' sparse cylinders (a
 word constrains only its nontrivial positions).  Everything here is exact
 evaluation of such functions at finitely described points (periodic
 points, or eventually-trivial points given by a word), together with the
-coboundary splitting and the periodic-orbit vanishing test.
+coboundary splitting and the periodic-orbit test, which scans one orbit
+per Lyndon word up to a horizon proven to expose every non-coboundary.
 
 The splitting delegates to the chain-level decomposition; only the shift
 bookkeeping differs, because pushing a chain forward moves its function
@@ -21,8 +22,9 @@ from itertools import product
 from typing import NamedTuple, Union
 
 from . import zchain
-from .errors import LampkError, NonAbelianGroupError
+from .errors import BudgetError, LampkError, NonAbelianGroupError
 from .grouprep import GroupRepData
+from .jsonio import exact_int
 from .shiftwords import Word, shift
 from .zchain import ZChain
 
@@ -63,19 +65,6 @@ class PeriodicPoint:
         """The translated point: coordinate at i becomes the old one at i - k."""
         p = len(self.pattern)
         return PeriodicPoint(tuple(self.pattern[(i - k) % p] for i in range(p)))
-
-    def least_rotation(self) -> tuple[int, ...]:
-        p = len(self.pattern)
-        return min(tuple(self.pattern[(i + s) % p] for i in range(p)) for s in range(p))
-
-    def minimal_period(self) -> int:
-        p = len(self.pattern)
-        for d in range(1, p + 1):
-            if p % d == 0 and all(
-                self.pattern[i] == self.pattern[i % d] for i in range(p)
-            ):
-                return d
-        return p
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PeriodicPoint):
@@ -125,10 +114,8 @@ class CylinderSpec:
     def __init__(self, constraints: Mapping[int, int] | None = None):
         cleaned = {}
         for pos, idx in (constraints or {}).items():
-            try:
-                pos, idx = int(pos), int(idx)
-            except (TypeError, ValueError) as exc:
-                raise LampkError(f"malformed cylinder constraint: {exc}") from exc
+            pos = exact_int(pos, "cylinder position")
+            idx = exact_int(idx, "cylinder value")
             if idx < 0:
                 raise LampkError(f"constraint value must be >= 0, got {idx}")
             cleaned[pos] = idx
@@ -199,30 +186,53 @@ def periodic_orbit_sum(group: GroupRepData, f: ZChain, x: PeriodicPoint) -> int:
 def orbit_representatives(group: GroupRepData, max_period: int) -> Iterator[PeriodicPoint]:
     """One point per shift orbit of periodic points, periods 1..max_period.
 
-    Deduplicated by least rotation; patterns whose minimal period is
-    shorter are skipped (their orbit already appeared).
+    An orbit of least period n is read off its least rotation, a Lyndon
+    word of length n, and every such word stands for one orbit.  Duval's
+    generator (Duval 1988; Fredricksen-Kessler-Maiorana) lists the Lyndon
+    words of length at most n in lexicographic order at constant amortized
+    cost; run once per period, keeping the words of length exactly n, it
+    yields the orbits by period, then lexicographically.
     """
     r = group.num_irreps
-    for p in range(1, max_period + 1):
-        for pattern in product(range(r), repeat=p):
-            point = PeriodicPoint(pattern)
-            if point.minimal_period() != p:
-                continue
-            if pattern != point.least_rotation():
-                continue
-            yield point
+    for n in range(1, max_period + 1):
+        word = [-1]
+        while word:
+            word[-1] += 1
+            if len(word) == n:
+                yield PeriodicPoint(word)
+            m = len(word)
+            while len(word) < n:
+                word.append(word[-m])
+            while word and word[-1] == r - 1:
+                word.pop()
 
 
 def default_period_bound(f: ZChain) -> int:
-    """Period horizon for the orbit test: one past the support width.
+    """The proven horizon of the orbit test: 2w - 1, or 1 for constant f.
 
-    w is one past the largest supported position over the words of f (at
-    least 1); checking periods up to w + 1 empirically suffices for the
-    converse direction, which rests on periodic-point density and carries
-    no effective bound.
+    w = max(max_support) - min(min_support) + 1 over the nonempty words of
+    f, so it does not change under translation.  Proof that 2w - 1 periods
+    suffice: f reads w consecutive coordinates, so it is a function on the
+    edges of the de Bruijn graph B(r, w - 1), whose diameter is w - 1.  Fix
+    a root vertex and, for every vertex v, paths P_v (root to v) and Q_v
+    (v to root) of length w - 1; set phi(v) = f(P_v).  If every edge
+    e = u -> v has f(e) = phi(v) - phi(u), f is a coboundary.  Otherwise
+    one of the closed walks P_u e Q_v (length 2w - 1) and P_v Q_v
+    (length 2w - 2) has a nonzero sum, and a closed walk of length L is a
+    periodic point of period L, whose least period divides L.  So a
+    non-coboundary has a nonvanishing orbit of period at most 2w - 1.
     """
-    w = max((word.max_support + 1 for word in f if not word.is_empty), default=0)
-    return max(w, 1) + 1
+    words = [word for word in f if not word.is_empty]
+    if not words:
+        return 1
+    lo = min(word.min_support for word in words)
+    hi = max(word.max_support for word in words)
+    return 2 * (hi - lo + 1) - 1
+
+
+# Patterns (r^p summed over the periods) one orbit scan may stand for: the
+# zero chain over C2 scans to period 16 (131 070 patterns) in about a second.
+MAX_SCAN_PATTERNS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -244,29 +254,31 @@ def livsic_check(
     """Coboundary test against the periodic-orbit criterion.
 
     The exact answer comes from the splitting (coboundary iff the
-    canonical part vanishes); the orbit sums over all periods up to
-    max_period (default: default_period_bound) must agree with it:
-    vanishing sums with a nonzero canonical part would be a bound
-    violation and are surfaced through the report, never suppressed.
+    canonical part vanishes).  Scanned up to default_period_bound (the
+    default max_period) the orbit sums vanish exactly for coboundaries,
+    and the first nonzero one in scan order is the witness; a shorter
+    horizon is a bounded check.  A scan standing for more than
+    MAX_SCAN_PATTERNS patterns raises BudgetError before it starts.
     """
     require_abelian(group)
     if max_period is None:
         max_period = default_period_bound(f)
     if max_period < 1:
         raise LampkError(f"max_period must be >= 1, got {max_period}")
+    r = group.num_irreps
+    patterns = 0
+    for p in range(1, max_period + 1):
+        patterns += r**p
+        if patterns > MAX_SCAN_PATTERNS:
+            raise BudgetError(
+                f"an orbit scan of {group.name} to period {max_period} covers "
+                f"more than {MAX_SCAN_PATTERNS} patterns"
+            )
     exact = not coboundary_decompose(group, f).canonical
     for point in orbit_representatives(group, max_period):
         total = periodic_orbit_sum(group, f, point)
         if total != 0:
             return LivsicReport(
-                is_coboundary_exact=exact,
-                periodic_sums_vanish=False,
-                max_period_checked=max_period,
-                violating_orbit=point,
-                violating_sum=total,
+                exact, False, max_period, violating_orbit=point, violating_sum=total
             )
-    return LivsicReport(
-        is_coboundary_exact=exact,
-        periodic_sums_vanish=True,
-        max_period_checked=max_period,
-    )
+    return LivsicReport(exact, True, max_period)

@@ -16,6 +16,17 @@ from .shiftwords import Word
 from .zchain import ZChain
 
 
+def exact_int(value, what: str) -> int:
+    """The integer a JSON value denotes; a bool or a non-integral float is an
+    error, never truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise LampkError(f"{what} must be an integer, got {value!r}")
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise LampkError(f"{what} must be an integer, got {value!r}") from exc
+
+
 def group_to_json(group: GroupRepData) -> dict:
     return {"name": group.name, "order": group.order, "dims": list(group.dims)}
 
@@ -23,7 +34,9 @@ def group_to_json(group: GroupRepData) -> dict:
 def group_from_json(data: dict) -> GroupRepData:
     try:
         return GroupRepData(
-            name=str(data["name"]), order=int(data["order"]), dims=tuple(data["dims"])
+            name=str(data["name"]),
+            order=exact_int(data["order"], "group order"),
+            dims=tuple(exact_int(d, "irrep dimension") for d in data["dims"]),
         )
     except (KeyError, TypeError) as exc:
         raise LampkError(f"malformed group JSON: {exc}") from exc
@@ -37,9 +50,13 @@ def word_from_json(data: dict) -> Word:
     # Accept both the wrapped shape and a bare entries mapping.
     entries = data.get("entries", data) if isinstance(data, dict) else data
     try:
-        return Word((int(pos), int(idx)) for pos, idx in entries.items())
-    except (AttributeError, ValueError, TypeError) as exc:
+        items = entries.items()
+    except AttributeError as exc:
         raise LampkError(f"malformed word JSON: {exc}") from exc
+    return Word(
+        (exact_int(pos, "word position"), exact_int(idx, "word entry"))
+        for pos, idx in items
+    )
 
 
 def chain_to_json(chain: ZChain) -> list:
@@ -53,9 +70,10 @@ def chain_from_json(data: list) -> ZChain:
         raise LampkError("chain JSON must be an array of {word, coeff} objects")
     try:
         return ZChain(
-            (word_from_json(item["word"]), int(item["coeff"])) for item in data
+            (word_from_json(item["word"]), exact_int(item["coeff"], "coeff"))
+            for item in data
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise LampkError(f"malformed chain JSON: {exc}") from exc
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
 from math import gcd
 
 from . import zchain
@@ -94,22 +93,14 @@ def trace_of_chain(group: GroupRepData, chain: ZChain) -> Fraction:
 def trace_image_level(group: GroupRepData, n: int) -> Fraction:
     """Positive generator of the trace values on words supported in [0, n).
 
-    The subgroup of the rationals these traces generate is cyclic; its
-    positive generator is 1 for n = 0 and 1/|F|^n for n >= 1.  Computed
-    directly as a gcd over all words in the window, not assumed.
+    Over the denominator |F|^n each position contributes |F| (trivial
+    letter) or d_sigma to the numerator, and the gcd of a product set is
+    the product of the gcds: gcd(|F|, d_1, ..., d_{r-1})^n / |F|^n.  As
+    |F| = sum of d_sigma^2 with d_0 = 1, that gcd is 1.
     """
     if n < 0:
         raise LampkError(f"level must be >= 0, got {n}")
-    denominator = group.order**n
-    numerator_gcd = 0
-    r = group.num_irreps
-    for vec in product(range(r), repeat=n):
-        word = Word((i, v) for i, v in enumerate(vec) if v)
-        t = trace_of_word(group, word)
-        numerator_gcd = gcd(
-            numerator_gcd, t.numerator * (denominator // t.denominator)
-        )
-    return Fraction(numerator_gcd, denominator)
+    return Fraction(gcd(group.order, *group.dims[1:]) ** n, group.order**n)
 
 
 @dataclass
@@ -133,20 +124,13 @@ class PVReport:
 
     @property
     def passed(self) -> bool:
-        return not (
-            self.invariant_mismatches
-            or self.nonvanishing_coboundaries
-            or self.moved_canonicals
-            or self.identity_failures
-        )
+        return self.counterexample_count() == 0
 
     def counterexample_count(self) -> int:
-        return (
-            len(self.invariant_mismatches)
-            + len(self.nonvanishing_coboundaries)
-            + len(self.moved_canonicals)
-            + len(self.identity_failures)
-        )
+        return sum(map(len, (
+            self.invariant_mismatches, self.nonvanishing_coboundaries,
+            self.moved_canonicals, self.identity_failures,
+        )))
 
 
 def pv_check(
@@ -155,6 +139,8 @@ def pv_check(
     """Property-test the kernel/cokernel bookkeeping on seeded random chains."""
     if samples < 1:
         raise LampkError(f"samples must be >= 1, got {samples}")
+    if window < 0:
+        raise LampkError(f"window must be >= 0, got {window}")
     rng = random.Random(seed)
     positions = window_range(window)
     report = PVReport(

@@ -13,7 +13,7 @@ from collections.abc import Mapping
 from itertools import product
 from typing import Iterable
 
-from .errors import LampkError
+from .errors import BudgetError, LampkError
 from .grouprep import GroupRepData
 
 
@@ -136,16 +136,30 @@ def canonical_count(group: GroupRepData, max_len: int) -> int:
     return total
 
 
+# Words one enumeration may build: C2 at max_len 16 (32 769 words) is
+# listed and printed by the CLI in about a second.
+MAX_CANONICAL_WORDS = 1 << 16
+
+
 def enumerate_canonical(group: GroupRepData, max_len: int) -> list[Word]:
     """All canonical words with support inside [0, max_len).
 
     Ordered by window length, then lexicographically by the dense index
     vector: the empty word, the single-letter words at position 0, then for
     each length L the words with nontrivial first and last letter and free
-    interior.
+    interior.  More than MAX_CANONICAL_WORDS words raise BudgetError before
+    any is built.
     """
     if max_len < 1:
         raise LampkError(f"max_len must be >= 1, got {max_len}")
+    # The count at least doubles with each length, so capping max_len
+    # keeps the decision and never builds a huge integer.
+    cap = MAX_CANONICAL_WORDS.bit_length() + 1
+    if canonical_count(group, min(max_len, cap)) > MAX_CANONICAL_WORDS:
+        raise BudgetError(
+            f"{group.name} has more than {MAX_CANONICAL_WORDS} canonical "
+            f"words at max_len {max_len}"
+        )
     r = group.num_irreps
     words = [EMPTY_WORD]
     words.extend(Word({0: g}) for g in range(1, r))

@@ -74,6 +74,17 @@ def test_inline_group_json(capsys):
     assert data["order"] == 6 and data["abelian_order"] == 2
 
 
+def test_inline_group_non_integer_is_domain_error(capsys):
+    for inline in (
+        '{"name": "x", "order": "a", "dims": [1, 1]}',
+        '{"name": "x", "order": 2, "dims": [1, 1.5]}',
+    ):
+        code, out, err = run_cli(capsys, "fingerprint", "--group", inline)
+        assert code == 1
+        assert out == ""
+        assert "must be an integer" in json.loads(err)["error"]["message"]
+
+
 def test_classify(capsys):
     assert run_json(capsys, "classify", "--group", "C4", "--other", "klein4")[
         "decision"
@@ -189,6 +200,79 @@ def test_decompose_fractional_coeff_is_domain_error(capsys):
     assert code == 1
     assert out == ""
     assert "error" in json.loads(err)
+
+
+def test_decompose_float_coeff_is_domain_error(capsys):
+    # a JSON number 1.5 used to be truncated to 1
+    chain_json = '[{"word": {"entries": {"0": 1}}, "coeff": 1.5}]'
+    code, out, err = run_cli(capsys, "decompose", "--group", "C2", "--fn", chain_json)
+    assert code == 1
+    assert out == ""
+    assert "coeff" in json.loads(err)["error"]["message"]
+
+
+def test_cylinder_spec_bool_and_float_values_are_domain_errors(capsys):
+    for spec in ('{"0":true,"1":1}', '{"0":1,"1":1.9}'):
+        code, out, err = run_cli(
+            capsys, "cylinder-expand", "--group", "C2", "--spec", spec
+        )
+        assert code == 1
+        assert out == ""
+        assert "cylinder value" in json.loads(err)["error"]["message"]
+
+
+def test_out_of_range_irrep_index_is_domain_error(capsys):
+    chain_json = '[{"word": {"entries": {"0": 7}}, "coeff": 1}]'
+    for command in ("decompose", "livsic"):
+        code, out, err = run_cli(capsys, command, "--group", "C2", "--fn", chain_json)
+        assert code == 1
+        assert out == ""
+        assert "out of range" in json.loads(err)["error"]["message"]
+
+
+def test_pv_check_rejects_negative_window(capsys):
+    code, out, err = run_cli(
+        capsys, "pv-check", "--group", "C2", "--samples", "5", "--window", "-3"
+    )
+    assert code == 1
+    assert out == ""
+    assert "window" in json.loads(err)["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["livsic", "--group", "C2", "--fn", "[]", "--max-period", "40"], 1),
+        (["trace-image", "--group", "C2", "--level", "26"], 0),
+        (["orbits", "--group", "C3", "--max-len", "16"], 1),
+    ],
+)
+def test_large_sizes_end_in_the_contract_quickly(capsys, argv, code):
+    start = time.monotonic()
+    got, out, err = run_cli(capsys, *argv)
+    assert time.monotonic() - start < 2
+    assert got == code
+    if code == 1:
+        assert out == ""
+        assert json.loads(err)["error"]["type"] == "BudgetError"
+    else:
+        assert json.loads(out)["generator"] == {"num": 1, "den": 2**26}
+
+
+def test_livsic_default_horizon_is_proven(capsys):
+    # support [-6, -3], so w = 4 and the horizon is 2w - 1 = 7
+    chain_json = (
+        '[{"word":{"entries":{"-6":1}},"coeff":1},'
+        '{"word":{"entries":{"-4":1,"-3":1}},"coeff":-2},'
+        '{"word":{"entries":{"-5":1,"-3":1}},"coeff":-1},'
+        '{"word":{"entries":{"-6":1,"-4":1,"-3":1}},"coeff":2}]'
+    )
+    data = run_json(capsys, "livsic", "--group", "C2", "--fn", chain_json)
+    assert data["max_period_checked"] == 7
+    assert data["is_coboundary"] is False
+    assert data["periodic_sums_vanish"] is False
+    assert data["violating_orbit"] == [0, 0, 1]
+    assert data["violating_sum"] == 1
 
 
 def test_livsic(capsys):

@@ -2,11 +2,12 @@ import random
 from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lampk.errors import LampkError, NonAbelianGroupError
+from lampk.errors import BudgetError, LampkError, NonAbelianGroupError
 from lampk.fullshift import (
+    MAX_SCAN_PATTERNS,
     CylinderSpec,
     PeriodicPoint,
     beta_eval,
@@ -19,12 +20,13 @@ from lampk.fullshift import (
     shift_point,
 )
 from lampk.grouprep import builtin
-from lampk.sampling import random_chain
+from lampk.sampling import random_chain, random_word
 from lampk.shiftwords import EMPTY_WORD, Word
 from lampk.zchain import ZChain, alpha
 
 C2 = builtin("C2")
 C3 = builtin("C3")
+KLEIN4 = builtin("klein4")
 
 words_st = st.builds(
     Word,
@@ -42,8 +44,8 @@ def test_periodic_point_basics():
     assert x.period == 3
     assert [x.value_at(i) for i in range(-3, 6)] == [1, 0, 1] * 3
     assert x.shifted(1).pattern == (1, 1, 0)
-    assert PeriodicPoint((1, 0, 1, 0)).minimal_period() == 2
-    assert PeriodicPoint((0, 1, 1)).least_rotation() == (0, 1, 1)
+    assert x.shifted(3) == x
+    assert PeriodicPoint([1, 0, 1]) == x and hash(PeriodicPoint([1, 0, 1])) == hash(x)
     with pytest.raises(LampkError):
         PeriodicPoint(())
 
@@ -173,6 +175,16 @@ def test_periodic_orbit_sum_examples():
     assert periodic_orbit_sum(C2, ZChain.of(Word({0: 1})), PeriodicPoint((1, 0))) == 1
 
 
+def _brute_force_orbits(r, max_period):
+    """Every pattern of each period, kept when it is aperiodic (its
+    rotations are distinct) and is its own least rotation."""
+    for p in range(1, max_period + 1):
+        for pattern in product(range(r), repeat=p):
+            rotations = [pattern[s:] + pattern[:s] for s in range(p)]
+            if pattern == min(rotations) and rotations.count(pattern) == 1:
+                yield pattern
+
+
 def test_orbit_representatives_dedupe():
     reps = list(orbit_representatives(C2, 4))
     # aperiodic binary necklaces by period: 2, 1, 2, 3
@@ -181,17 +193,116 @@ def test_orbit_representatives_dedupe():
     assert [r.period for r in reps].count(3) == 2
     assert [r.period for r in reps].count(4) == 3
     assert len(set(reps)) == len(reps)
-    assert all(r.pattern == r.least_rotation() for r in reps)
-    assert all(r.minimal_period() == r.period for r in reps)
+    for group, horizon in ((C2, 10), (C3, 6), (KLEIN4, 5)):
+        got = [x.pattern for x in orbit_representatives(group, horizon)]
+        assert got == list(_brute_force_orbits(group.num_irreps, horizon))
 
 
 def test_default_period_bound():
-    assert default_period_bound(ZChain()) == 2
-    assert default_period_bound(ZChain.of(EMPTY_WORD)) == 2
-    assert default_period_bound(ZChain.of(Word({0: 1}))) == 2
-    assert default_period_bound(ZChain.of(Word({0: 1, 2: 1}))) == 4
-    f = ZChain.of(Word({-3: 1}))
-    assert default_period_bound(f) >= 1
+    assert default_period_bound(ZChain()) == 1
+    assert default_period_bound(ZChain.of(EMPTY_WORD)) == 1
+    assert default_period_bound(ZChain.of(Word({0: 1}))) == 1
+    assert default_period_bound(ZChain.of(Word({0: 1, 2: 1}))) == 5
+    f = ZChain.of(Word({0: 1, 2: 1})) + ZChain.of(Word({1: 1})) + ZChain.of(EMPTY_WORD)
+    assert default_period_bound(f) == 5
+    assert default_period_bound(alpha(f, -7)) == 5
+    # the window spans all words, not each word apart
+    wide = ZChain.of(Word({-3: 1})) + ZChain.of(Word({2: 1}))
+    assert default_period_bound(wide) == 11
+
+
+# The two chains whose old horizons (max_support + 2) missed every
+# nonvanishing orbit: one supported at negative positions, and one whose
+# first nonzero orbit sum sits at period 6.
+REPRODUCERS = (
+    (
+        ZChain.of(Word({-6: 1}))
+        - 2 * ZChain.of(Word({-4: 1, -3: 1}))
+        - ZChain.of(Word({-5: 1, -3: 1}))
+        + 2 * ZChain.of(Word({-6: 1, -4: 1, -3: 1})),
+        (0, 0, 1),
+        1,
+    ),
+    (
+        ZChain.of(Word({0: 1, 1: 1, 3: 1})) - ZChain.of(Word({0: 1, 2: 1, 3: 1})),
+        (0, 0, 1, 0, 1, 1),
+        -1,
+    ),
+)
+
+
+@pytest.mark.parametrize("f, orbit, total", REPRODUCERS)
+def test_livsic_horizon_reproducers(f, orbit, total):
+    report = livsic_check(C2, f)
+    assert report.max_period_checked == 7
+    assert not report.is_coboundary_exact
+    assert not report.periodic_sums_vanish
+    assert report.violating_orbit == PeriodicPoint(orbit)
+    assert report.violating_sum == total
+    assert periodic_orbit_sum(C2, f, report.violating_orbit) == total
+
+
+narrow_chains_st = st.builds(
+    ZChain,
+    st.lists(
+        st.tuples(
+            st.builds(
+                Word,
+                st.dictionaries(st.integers(-2, 1), st.integers(1, 2), max_size=3),
+            ),
+            st.integers(-3, 3),
+        ),
+        max_size=4,
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(narrow_chains_st, st.integers(-9, 9))
+def test_livsic_translation_invariant(f, k):
+    # The orbit sums, the exact answer and the horizon all ignore where
+    # the chain sits, so the whole report does.
+    assert livsic_check(C3, alpha(f, k)) == livsic_check(C3, f)
+
+
+def test_livsic_fuzz_negative_offsets():
+    rng = random.Random(11)
+    for i in range(800):
+        group, window = (C2, rng.randint(1, 6)) if i % 2 else (C3, rng.randint(1, 4))
+        lo = rng.randint(-8, 8)
+        positions = range(lo, lo + window)
+        u = rng.random()
+        if u < 0.3:
+            m = random_chain(rng, group, range(lo, lo + window - 1), max_terms=4)
+            f = m - alpha(m)
+        elif u < 0.6:
+            # a word minus the same letters placed elsewhere in the window:
+            # the short orbits often cancel, as in the second reproducer
+            w = random_word(rng, group, positions)
+            places = rng.sample(positions, len(w.entries))
+            f = ZChain.of(w) - ZChain.of(Word(zip(places, (v for _, v in w.entries))))
+        else:
+            f = random_chain(rng, group, positions, max_terms=4)
+        report = livsic_check(group, f)
+        assert report.max_period_checked <= 2 * window - 1
+        assert report.consistent, (f, report)
+        if not report.periodic_sums_vanish:
+            assert report.violating_sum != 0
+            total = periodic_orbit_sum(group, f, report.violating_orbit)
+            assert total == report.violating_sum
+
+
+def test_livsic_scan_size_guard():
+    with pytest.raises(BudgetError):
+        livsic_check(C2, ZChain(), 17)
+    with pytest.raises(BudgetError):
+        livsic_check(C2, ZChain(), 10**9)
+    # a wide chain's default horizon is guarded the same way
+    with pytest.raises(BudgetError):
+        livsic_check(C2, ZChain.of(Word({0: 1, 9: 1})))
+    assert sum(2**p for p in range(1, 17)) <= MAX_SCAN_PATTERNS < sum(
+        2**p for p in range(1, 18)
+    )
 
 
 def test_livsic_examples():

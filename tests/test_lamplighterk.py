@@ -1,11 +1,14 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lampk.grouprep import builtin
+from lampk.errors import LampkError
+from lampk.grouprep import _CATALOG, builtin
 from lampk.lamplighterk import (
     BOUNDARY_IDENTITY,
     k_groups,
@@ -117,6 +120,24 @@ def test_trace_image_levels():
         assert trace_image_level(builtin(name), 0) == 1
 
 
+def _brute_force_trace_image(group, n):
+    """gcd of the traces of all words in [0, n), over the denominator |F|^n."""
+    denominator = group.order**n
+    numerator_gcd = 0
+    for vec in product(range(group.num_irreps), repeat=n):
+        t = trace_of_word(group, Word((i, v) for i, v in enumerate(vec) if v))
+        numerator_gcd = gcd(numerator_gcd, t.numerator * (denominator // t.denominator))
+    return Fraction(numerator_gcd, denominator)
+
+
+def test_trace_image_matches_brute_force():
+    names = ["C2", "C3", "C4", "C5", *_CATALOG]
+    for g in map(builtin, names):
+        for n in range(0, 6 if g.num_irreps <= 3 else 4):
+            expected = _brute_force_trace_image(g, n)
+            assert trace_image_level(g, n) == expected, (g.name, n)
+
+
 def test_trace_image_divisibility():
     for name in ("C2", "S3", "Q8"):
         g = builtin(name)
@@ -132,6 +153,13 @@ def test_trace_vanishes_on_random_coboundaries():
     for _ in range(100):
         m = random_chain(rng, g, window_range(4))
         assert trace_of_chain(g, m - alpha(m)) == 0
+
+
+def test_pv_check_rejects_bad_sizes():
+    g = builtin("C2")
+    for samples, window in ((0, 2), (5, -1)):
+        with pytest.raises(LampkError):
+            pv_check(g, samples=samples, window=window, seed=1)
 
 
 def test_pv_check_passes_and_is_deterministic():

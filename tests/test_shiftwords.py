@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lampk.errors import LampkError
+from lampk.errors import BudgetError, LampkError
 from lampk.grouprep import builtin
 from lampk.shiftwords import (
     EMPTY_WORD,
+    MAX_CANONICAL_WORDS,
     Word,
     canonical_count,
     canonicalize,
@@ -124,3 +125,13 @@ def test_enumerate_properties():
 def test_enumerate_rejects_bad_len():
     with pytest.raises(LampkError):
         enumerate_canonical(builtin("C2"), 0)
+
+
+def test_enumerate_size_guard():
+    # C2 has 2^(n-1) + 1 canonical words at max_len n, C3 has 2*3^(n-1) + 1.
+    assert canonical_count(builtin("C2"), 17) == MAX_CANONICAL_WORDS + 1
+    for name, max_len in (("C2", 17), ("C3", 11), ("A5", 8), ("C2", 10**9)):
+        with pytest.raises(BudgetError):
+            enumerate_canonical(builtin(name), max_len)
+    c3 = builtin("C3")
+    assert len(enumerate_canonical(c3, 10)) == canonical_count(c3, 10)

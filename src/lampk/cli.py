@@ -44,19 +44,19 @@ def _parse_group(text: str) -> GroupRepData:
     """A builtin name, or inline JSON {"name", "order", "dims"}."""
     text = text.strip()
     if text.startswith("{"):
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"--group: invalid JSON: {exc}") from exc
-        return jsonio.group_from_json(data)
+        return jsonio.group_from_json(_parse_json_arg("--group", text))
     return builtin(text)
 
 
 def _parse_json_arg(flag: str, text: str):
+    """Malformed JSON is a usage error; well-formed JSON holding an integer
+    past the interpreter's digit limit is a domain error."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise UsageError(f"{flag}: invalid JSON: {exc}") from exc
+    except ValueError as exc:
+        raise LampkError(f"{flag}: {exc}") from exc
 
 
 def _load_chain(path_or_json: str, group: GroupRepData):
@@ -86,7 +86,11 @@ def _emit(payload, fmt: str = "json", table_lines=None) -> None:
         for line in table_lines:
             print(line)
         return
-    print(json.dumps(payload, indent=2, ensure_ascii=False))
+    try:
+        text = json.dumps(payload, indent=2, ensure_ascii=False)
+    except ValueError as exc:  # an integer past the interpreter's digit limit
+        raise LampkError(f"the result cannot be printed: {exc}") from exc
+    print(text)
 
 
 def _word_table(words) -> list[str]:

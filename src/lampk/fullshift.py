@@ -125,12 +125,19 @@ class CylinderSpec:
         return f"CylinderSpec({self.constraints})"
 
 
+# Terms one cylinder expansion may build: C2 with 16 trivial pins
+# (65 536 terms) expands and prints in well under a second.
+MAX_CYLINDER_TERMS = 1 << 16
+
+
 def cylinder_to_chain(group: GroupRepData, spec: CylinderSpec) -> ZChain:
     """The unique chain whose function is the cylinder's indicator.
 
     Pinning a coordinate to the trivial index is not a word constraint, so
     it expands by inclusion-exclusion: (unconstrained) minus the sum over
     the nontrivial values at that position.  All coefficients are +-1.
+    The chain has r^k terms for k trivial pins; more than
+    MAX_CYLINDER_TERMS of them raise BudgetError before any is built.
     """
     require_abelian(group)
     r = group.num_irreps
@@ -139,6 +146,14 @@ def cylinder_to_chain(group: GroupRepData, spec: CylinderSpec) -> ZChain:
             raise LampkError(f"constraint value {idx} out of range for {group.name}")
     fixed = [(p, i) for p, i in spec.constraints.items() if i != 0]
     trivial_positions = [p for p, i in spec.constraints.items() if i == 0]
+    # r >= 2 gives r^17 > 2^16, so capping k keeps the decision and never
+    # builds a huge integer.
+    k = len(trivial_positions)
+    if r ** min(k, MAX_CYLINDER_TERMS.bit_length()) > MAX_CYLINDER_TERMS:
+        raise BudgetError(
+            f"a cylinder of {group.name} with {k} positions pinned to the "
+            f"trivial letter expands to more than {MAX_CYLINDER_TERMS} terms"
+        )
     # Each trivial position contributes either "absent" (+) or one
     # nontrivial value (-).
     options = [[(None, 1)] + [(g, -1) for g in range(1, r)] for _ in trivial_positions]
@@ -176,11 +191,25 @@ def coboundary_decompose(group: GroupRepData, f: ZChain) -> FunctionDecompositio
 
 
 def periodic_orbit_sum(group: GroupRepData, f: ZChain, x: PeriodicPoint) -> int:
-    """Sum of the function over one full period of the orbit of x."""
+    """Sum of the function over one full period of the orbit of x.
+
+    The k-th term is beta_eval at x.shifted(k), whose coordinate at p is
+    pattern[(p - k) % n]; it is read off the pattern directly, with no
+    shifted point built.
+    """
     require_abelian(group)
-    return sum(
-        beta_eval(group, f, x.shifted(k)) for k in range(x.period)
-    )
+    pattern = x.pattern
+    n = len(pattern)
+    total = 0
+    for word, coeff in f.items():
+        entries = word.entries
+        for k in range(n):
+            for p, idx in entries:
+                if pattern[(p - k) % n] != idx:
+                    break
+            else:
+                total += coeff
+    return total
 
 
 def orbit_representatives(group: GroupRepData, max_period: int) -> Iterator[PeriodicPoint]:
@@ -234,6 +263,11 @@ def default_period_bound(f: ZChain) -> int:
 # zero chain over C2 scans to period 16 (131 070 patterns) in about a second.
 MAX_SCAN_PATTERNS = 1 << 17
 
+# Word evaluations one orbit scan may stand for, counted as patterns times
+# the chain's terms: each pattern is read once per term, and 2^22 of them
+# take about a second.
+MAX_SCAN_EVALUATIONS = 1 << 22
+
 
 @dataclass(frozen=True)
 class LivsicReport:
@@ -258,7 +292,8 @@ def livsic_check(
     default max_period) the orbit sums vanish exactly for coboundaries,
     and the first nonzero one in scan order is the witness; a shorter
     horizon is a bounded check.  A scan standing for more than
-    MAX_SCAN_PATTERNS patterns raises BudgetError before it starts.
+    MAX_SCAN_PATTERNS patterns, or more than MAX_SCAN_EVALUATIONS patterns
+    times terms, raises BudgetError before it starts.
     """
     require_abelian(group)
     if max_period is None:
@@ -274,6 +309,12 @@ def livsic_check(
                 f"an orbit scan of {group.name} to period {max_period} covers "
                 f"more than {MAX_SCAN_PATTERNS} patterns"
             )
+    if patterns * max(1, len(f)) > MAX_SCAN_EVALUATIONS:
+        raise BudgetError(
+            f"an orbit scan of {group.name} to period {max_period} reads "
+            f"{len(f)} terms at each of {patterns} patterns, more than "
+            f"{MAX_SCAN_EVALUATIONS} evaluations"
+        )
     exact = not coboundary_decompose(group, f).canonical
     for point in orbit_representatives(group, max_period):
         total = periodic_orbit_sum(group, f, point)

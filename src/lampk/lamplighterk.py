@@ -11,12 +11,13 @@ rational; levelwise these traces generate exactly 1/|F|^n of the integers.
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
 from . import zchain
-from .errors import LampkError
+from .errors import BudgetError, LampkError
 from .grouprep import GroupRepData
 from .sampling import random_chain, window_range
 from .shiftwords import EMPTY_WORD, Word, canonicalize, enumerate_canonical
@@ -96,10 +97,20 @@ def trace_image_level(group: GroupRepData, n: int) -> Fraction:
     Over the denominator |F|^n each position contributes |F| (trivial
     letter) or d_sigma to the numerator, and the gcd of a product set is
     the product of the gcds: gcd(|F|, d_1, ..., d_{r-1})^n / |F|^n.  As
-    |F| = sum of d_sigma^2 with d_0 = 1, that gcd is 1.
+    |F| = sum of d_sigma^2 with d_0 = 1, that gcd is 1.  A denominator
+    with more digits than the interpreter prints raises BudgetError before
+    it is computed.
     """
     if n < 0:
         raise LampkError(f"level must be >= 0, got {n}")
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # |F| >= 2 gives |F|^(4d) >= 16^d > 10^d, so capping n keeps the
+    # decision and never builds a huge integer.
+    if digits and group.order ** min(n, 4 * digits) >= 10**digits:
+        raise BudgetError(
+            f"the level-{n} denominator {group.order}^{n} of {group.name} has "
+            f"more than {digits} digits"
+        )
     return Fraction(gcd(group.order, *group.dims[1:]) ** n, group.order**n)
 
 

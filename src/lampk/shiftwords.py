@@ -111,7 +111,11 @@ def shift(word: Word, k: int) -> Word:
     """Translate the word k steps: the entry at p moves to p + k."""
     if k == 0 or word.is_empty:
         return word
-    return Word((p + k, idx) for p, idx in word.entries)
+    # Translation keeps positions distinct and sorted and entries >= 1, so
+    # the result is valid without another pass through Word.__init__.
+    moved = object.__new__(Word)
+    moved._items = tuple([(p + k, idx) for p, idx in word.entries])
+    return moved
 
 
 def canonicalize(word: Word) -> tuple[Word, int]:

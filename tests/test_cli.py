@@ -1,4 +1,6 @@
 import json
+import random
+import sys
 import time
 from fractions import Fraction
 
@@ -8,7 +10,7 @@ from lampk import jsonio
 from lampk.cli import main
 from lampk.grouprep import builtin
 from lampk.shiftwords import Word
-from lampk.zchain import ZChain
+from lampk.zchain import ZChain, alpha
 
 
 def run_cli(capsys, *argv):
@@ -239,12 +241,26 @@ def test_pv_check_rejects_negative_window(capsys):
     assert "window" in json.loads(err)["error"]["message"]
 
 
+def _wide_chain_json() -> str:
+    """m - alpha(m) for m the sum of 1 000 distinct three-letter C2 words in
+    positions 0..39: few patterns to period 14, but about 1 700 terms."""
+    rng = random.Random(0)
+    supports = set()
+    while len(supports) < 1000:
+        supports.add(tuple(sorted(rng.sample(range(40), 3))))
+    m = ZChain((Word((p, 1) for p in support), 1) for support in supports)
+    return json.dumps(jsonio.chain_to_json(m - alpha(m)))
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [
         (["livsic", "--group", "C2", "--fn", "[]", "--max-period", "40"], 1),
         (["trace-image", "--group", "C2", "--level", "26"], 0),
         (["orbits", "--group", "C3", "--max-len", "16"], 1),
+        (["cylinder-expand", "--group", "C2", "--spec",
+          json.dumps({str(p): 0 for p in range(40)})], 1),
+        (["livsic", "--group", "C2", "--fn", _wide_chain_json(), "--max-period", "14"], 1),
     ],
 )
 def test_large_sizes_end_in_the_contract_quickly(capsys, argv, code):
@@ -257,6 +273,32 @@ def test_large_sizes_end_in_the_contract_quickly(capsys, argv, code):
         assert json.loads(err)["error"]["type"] == "BudgetError"
     else:
         assert json.loads(out)["generator"] == {"num": 1, "den": 2**26}
+
+
+def test_integers_past_the_digit_limit_end_in_the_contract(capsys):
+    old_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        term = '{"word": {"entries": {"%d": 1}}, "coeff": %s}'
+        cases = [
+            # parsed: a 4 301-digit coefficient
+            (["decompose", "--group", "C2", "--fn", "[%s]" % (term % (0, "9" * 4301))],
+             "LampkError"),
+            # emitted: two 4 300-digit coefficients add up to 4 301 digits
+            (["decompose", "--group", "C2", "--fn",
+              "[%s, %s]" % (term % (0, "9" * 4300), term % (1, "9" * 4300))],
+             "LampkError"),
+            # refused before computing: 2^14 285 has 4 301 digits
+            (["trace-image", "--group", "C2", "--level", "14285"], "BudgetError"),
+        ]
+        for argv, error_type in cases:
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (1, "")
+            assert json.loads(err)["error"]["type"] == error_type
+        data = run_json(capsys, "trace-image", "--group", "C2", "--level", "14284")
+        assert data["generator"] == {"num": 1, "den": 2**14284}
+    finally:
+        sys.set_int_max_str_digits(old_limit)
 
 
 def test_livsic_default_horizon_is_proven(capsys):

@@ -1,12 +1,17 @@
+import json
 import random
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lampk import fullshift, jsonio
+from lampk.cli import main
 from lampk.errors import BudgetError, LampkError, NonAbelianGroupError
 from lampk.fullshift import (
+    MAX_CYLINDER_TERMS,
+    MAX_SCAN_EVALUATIONS,
     MAX_SCAN_PATTERNS,
     CylinderSpec,
     PeriodicPoint,
@@ -125,6 +130,19 @@ def test_cylinder_value_range_checked():
         cylinder_to_chain(C2, CylinderSpec({0: 5}))
 
 
+def test_cylinder_size_guard():
+    # r^k terms for k trivial pins: C3 with 10 pins is 59 049 terms, 11 is
+    # 177 147; C2 with 17 pins is 131 072.
+    assert 3**10 <= MAX_CYLINDER_TERMS < 3**11
+    assert len(cylinder_to_chain(C2, CylinderSpec({p: 0 for p in range(10)}))) == 2**10
+    for group, pins in ((C2, 17), (C2, 40), (C3, 11), (KLEIN4, 10**4)):
+        with pytest.raises(BudgetError):
+            cylinder_to_chain(group, CylinderSpec({p: 0 for p in range(pins)}))
+    # pins to nontrivial letters add no terms
+    spec = CylinderSpec({p: 1 for p in range(40)})
+    assert cylinder_to_chain(C2, spec) == ZChain.of(Word({p: 1 for p in range(40)}))
+
+
 def _functional_residual(group, f, witness, canonical, x):
     return (
         beta_eval(group, f, x)
@@ -173,6 +191,75 @@ def test_periodic_orbit_sum_examples():
         assert periodic_orbit_sum(C2, coboundary, PeriodicPoint(pattern)) == 0
     assert periodic_orbit_sum(C2, ZChain.of(EMPTY_WORD), PeriodicPoint((0, 1, 0))) == 3
     assert periodic_orbit_sum(C2, ZChain.of(Word({0: 1})), PeriodicPoint((1, 0))) == 1
+
+
+def _orbit_sum_by_shifts(group, f, x):
+    """The definition of the orbit sum: beta_eval at each shifted point."""
+    return sum(beta_eval(group, f, x.shifted(k)) for k in range(x.period))
+
+
+@st.composite
+def orbit_sum_cases(draw):
+    group = draw(st.sampled_from((C2, C3, KLEIN4)))
+    r = group.num_irreps
+    word = st.builds(
+        Word,
+        st.dictionaries(st.integers(-40, 40), st.integers(1, r - 1), max_size=4),
+    )
+    f = ZChain(
+        draw(
+            st.lists(
+                st.tuples(st.one_of(st.just(EMPTY_WORD), word), st.integers(-5, 5)),
+                max_size=5,
+            )
+        )
+    )
+    # a repeated base pattern stands for a period that is not minimal
+    base = draw(st.lists(st.integers(0, r - 1), min_size=1, max_size=6))
+    return group, f, PeriodicPoint(base * draw(st.integers(1, 3)))
+
+
+@settings(max_examples=300)
+@given(orbit_sum_cases())
+@example((C2, ZChain(), PeriodicPoint((0, 1))))
+@example((C3, ZChain.of(EMPTY_WORD, -4), PeriodicPoint((2, 0, 2, 0))))
+@example((KLEIN4, ZChain.of(Word({-37: 3, 29: 1})), PeriodicPoint((3, 1) * 3)))
+def test_periodic_orbit_sum_matches_the_shifted_points(case):
+    group, f, x = case
+    assert periodic_orbit_sum(group, f, x) == _orbit_sum_by_shifts(group, f, x)
+
+
+def _livsic_corpus():
+    """Seeded livsic argument lists on C2, C3 and klein4, coboundaries and
+    not, at the default horizon and at a pinned one."""
+    rng = random.Random(29)
+    for i in range(36):
+        name, window = (("C2", 5), ("C3", 3), ("klein4", 3))[i % 3]
+        group = builtin(name)
+        lo = rng.randint(-12, 12)
+        if i % 2:
+            m = random_chain(rng, group, range(lo, lo + window - 1), max_terms=4)
+            f = m - alpha(m)
+        else:
+            f = random_chain(rng, group, range(lo, lo + window), max_terms=4)
+        argv = ["livsic", "--group", name, "--fn", json.dumps(jsonio.chain_to_json(f))]
+        yield argv
+        yield argv + ["--max-period", "4"]
+
+
+def test_livsic_output_matches_the_orbit_sum_definition(capsys, monkeypatch):
+    def outputs():
+        result = []
+        for argv in _livsic_corpus():
+            code = main(argv)
+            result.append((code, capsys.readouterr()))
+        return result
+
+    fast = outputs()
+    assert any('"violating_orbit": null' in out for _, (out, _) in fast)
+    assert any('"violating_orbit": [' in out for _, (out, _) in fast)
+    monkeypatch.setattr(fullshift, "periodic_orbit_sum", _orbit_sum_by_shifts)
+    assert outputs() == fast
 
 
 def _brute_force_orbits(r, max_period):
@@ -303,6 +390,19 @@ def test_livsic_scan_size_guard():
     assert sum(2**p for p in range(1, 17)) <= MAX_SCAN_PATTERNS < sum(
         2**p for p in range(1, 18)
     )
+
+
+def test_livsic_work_guard():
+    # patterns times terms: 32 766 C2 patterns to period 14 are admitted
+    # for the zero chain and up to 128 terms, refused for 129
+    patterns = sum(2**p for p in range(1, 15))
+    assert patterns * 128 <= MAX_SCAN_EVALUATIONS < patterns * 129
+    assert livsic_check(C2, ZChain(), 14).periodic_sums_vanish
+    f = ZChain((Word({p: 1, p + 1: 1}), 1) for p in range(129))
+    with pytest.raises(BudgetError):
+        livsic_check(C2, f, 14)
+    # the largest scan the benchmark makes: klein4 at horizon 7, 13 terms
+    assert sum(4**p for p in range(1, 8)) * 13 <= MAX_SCAN_EVALUATIONS
 
 
 def test_livsic_examples():

@@ -40,6 +40,9 @@ def test_shift_examples():
 
 @given(words_st, st.integers(-8, 8))
 def test_shift_round_trip(w, k):
+    # the translated word is the one the validating constructor builds
+    moved = Word((p + k, idx) for p, idx in w.entries)
+    assert shift(w, k) == moved and hash(shift(w, k)) == hash(moved)
     assert shift(shift(w, k), -k) == w
     assert shift(w, 0) == w
     if not w.is_empty:

@@ -1,9 +1,10 @@
 """Command-line interface.
 
 stdout carries the JSON result (the stable contract); human diagnostics go
-to stderr.  Exit codes: 0 success, 1 domain error (machine-readable JSON on
-stderr), 2 usage error, 3 selfcheck stopped by its time budget.  Rationals
-are emitted as {"num", "den"} objects; no numeric output is ever a float.
+to stderr.  Exit codes: 0 success, 1 domain error or stdout closed by its
+reader (machine-readable JSON on stderr), 2 usage error, 3 selfcheck stopped
+by its time budget.  Rationals are emitted as {"num", "den"} objects; no
+numeric output is ever a float.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import jsonio, selfcheck
-from .colimitk import DEFAULT_COLUMN_BUDGET, claim_check
+from .colimitk import claim_check
 from .errors import LampkError
 from .fullshift import (
     CylinderSpec,
@@ -49,14 +50,17 @@ def _parse_group(text: str) -> GroupRepData:
 
 
 def _parse_json_arg(flag: str, text: str):
-    """Malformed JSON is a usage error; well-formed JSON holding an integer
-    past the interpreter's digit limit is a domain error."""
+    """Malformed JSON is a usage error; well-formed JSON the interpreter
+    cannot hold (an integer past its digit limit, or nesting past its
+    recursion limit) is a domain error."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise UsageError(f"{flag}: invalid JSON: {exc}") from exc
     except ValueError as exc:
         raise LampkError(f"{flag}: {exc}") from exc
+    except RecursionError as exc:
+        raise LampkError(f"{flag}: JSON nested too deeply to parse") from exc
 
 
 def _load_chain(path_or_json: str, group: GroupRepData):
@@ -66,10 +70,10 @@ def _load_chain(path_or_json: str, group: GroupRepData):
     """
     text = path_or_json.strip()
     if not text.startswith("["):
-        path = Path(text)
-        if not path.exists():
-            raise UsageError(f"--fn: no such file: {text}")
-        text = path.read_text()
+        try:
+            text = Path(text).read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise UsageError(f"--fn: not a readable chain file: {exc}") from exc
     chain = jsonio.chain_from_json(_parse_json_arg("--fn", text))
     for word in chain:
         for _, idx in word.entries:
@@ -152,14 +156,7 @@ def cmd_k1(args) -> int:
 
 def cmd_claim_check(args) -> int:
     group = _parse_group(args.group)
-    raw_budget = os.environ.get("LAMPK_BUDGET_COLS", DEFAULT_COLUMN_BUDGET)
-    try:
-        budget = int(raw_budget)
-    except ValueError:
-        raise UsageError(
-            f"LAMPK_BUDGET_COLS must be an integer, got {raw_budget!r}"
-        ) from None
-    cert = claim_check(group, args.levels, budget=budget)
+    cert = claim_check(group, args.levels)
     _emit(
         {
             "size": cert.size,
@@ -357,17 +354,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _error(exc: Exception) -> int:
+    error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
+    print(json.dumps(error, ensure_ascii=False), file=sys.stderr)
+    return 1
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
     except UsageError as exc:
         parser.exit(2, f"usage error: {exc}\n")
     except LampkError as exc:
-        error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        print(json.dumps(error, ensure_ascii=False), file=sys.stderr)
-        return 1
+        return _error(exc)
+    except BrokenPipeError as exc:
+        # The reader closed stdout.  As the note on SIGPIPE in the signal
+        # module's documentation advises, point stdout at devnull so the
+        # flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _error(exc)
 
 
 if __name__ == "__main__":

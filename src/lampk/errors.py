@@ -32,4 +32,22 @@ class TruncationError(LampkError):
 
 
 class BudgetError(LampkError):
-    """A computation would exceed the configured size budget."""
+    """A computation would exceed one of the package's size limits."""
+
+
+def check_budget(what, work, limit, noun, *, steps=None, stated=None) -> None:
+    """Raise BudgetError, before any work starts, if ``work`` is over ``limit``.
+
+    ``work`` counts ``noun``.  With ``steps`` it is a closed form work(k),
+    nondecreasing and at least 2^(k-1), tried at k = 1, 2, 4, ..., steps
+    until over the limit (work(steps) is then over too): about
+    log2(limit.bit_length()) tries, none past about limit^2.  The message
+    states the limit (``stated`` on the noun's scale), never the count.
+    """
+    if steps is not None:
+        k = min(steps, 1)
+        while k < steps and work(k) <= limit:
+            k = min(2 * k, steps)
+        work = work(k)
+    if work > limit:
+        raise BudgetError(f"{what} needs more than {stated or limit} {noun}")

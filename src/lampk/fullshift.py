@@ -19,10 +19,10 @@ from __future__ import annotations
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from itertools import product
-from typing import NamedTuple, Union
+from typing import Union
 
 from . import zchain
-from .errors import BudgetError, LampkError, NonAbelianGroupError
+from .errors import LampkError, NonAbelianGroupError, check_budget
 from .grouprep import GroupRepData
 from .jsonio import exact_int
 from .shiftwords import Word, shift
@@ -146,14 +146,10 @@ def cylinder_to_chain(group: GroupRepData, spec: CylinderSpec) -> ZChain:
             raise LampkError(f"constraint value {idx} out of range for {group.name}")
     fixed = [(p, i) for p, i in spec.constraints.items() if i != 0]
     trivial_positions = [p for p, i in spec.constraints.items() if i == 0]
-    # r >= 2 gives r^17 > 2^16, so capping k keeps the decision and never
-    # builds a huge integer.
-    k = len(trivial_positions)
-    if r ** min(k, MAX_CYLINDER_TERMS.bit_length()) > MAX_CYLINDER_TERMS:
-        raise BudgetError(
-            f"a cylinder of {group.name} with {k} positions pinned to the "
-            f"trivial letter expands to more than {MAX_CYLINDER_TERMS} terms"
-        )
+    check_budget(
+        f"expanding the trivial pins of a {group.name} cylinder",
+        lambda k: r**k, MAX_CYLINDER_TERMS, "terms", steps=len(trivial_positions),
+    )
     # Each trivial position contributes either "absent" (+) or one
     # nontrivial value (-).
     options = [[(None, 1)] + [(g, -1) for g in range(1, r)] for _ in trivial_positions]
@@ -169,12 +165,7 @@ def cylinder_to_chain(group: GroupRepData, spec: CylinderSpec) -> ZChain:
     return ZChain(terms)
 
 
-class FunctionDecomposition(NamedTuple):
-    witness: ZChain
-    canonical: ZChain
-
-
-def coboundary_decompose(group: GroupRepData, f: ZChain) -> FunctionDecomposition:
+def coboundary_decompose(group: GroupRepData, f: ZChain) -> zchain.Decomposition:
     """Split the function as (g - g o shift) + h with h on canonical words.
 
     Chain-level decompose gives f = (m - alpha(m)) + h; transporting
@@ -187,7 +178,7 @@ def coboundary_decompose(group: GroupRepData, f: ZChain) -> FunctionDecompositio
     """
     require_abelian(group)
     m, canonical = zchain.decompose(f)
-    return FunctionDecomposition(witness=-zchain.alpha(m), canonical=canonical)
+    return zchain.Decomposition(witness=-zchain.alpha(m), canonical=canonical)
 
 
 def periodic_orbit_sum(group: GroupRepData, f: ZChain, x: PeriodicPoint) -> int:
@@ -287,9 +278,9 @@ def livsic_check(
 ) -> LivsicReport:
     """Coboundary test against the periodic-orbit criterion.
 
-    The exact answer comes from the splitting (coboundary iff the
-    canonical part vanishes).  Scanned up to default_period_bound (the
-    default max_period) the orbit sums vanish exactly for coboundaries,
+    The exact answer comes from the co-invariant class (coboundary iff it
+    vanishes).  Scanned up to default_period_bound (the default
+    max_period) the orbit sums vanish exactly for coboundaries,
     and the first nonzero one in scan order is the witness; a shorter
     horizon is a bounded check.  A scan standing for more than
     MAX_SCAN_PATTERNS patterns, or more than MAX_SCAN_EVALUATIONS patterns
@@ -301,21 +292,16 @@ def livsic_check(
     if max_period < 1:
         raise LampkError(f"max_period must be >= 1, got {max_period}")
     r = group.num_irreps
-    patterns = 0
-    for p in range(1, max_period + 1):
-        patterns += r**p
-        if patterns > MAX_SCAN_PATTERNS:
-            raise BudgetError(
-                f"an orbit scan of {group.name} to period {max_period} covers "
-                f"more than {MAX_SCAN_PATTERNS} patterns"
-            )
-    if patterns * max(1, len(f)) > MAX_SCAN_EVALUATIONS:
-        raise BudgetError(
-            f"an orbit scan of {group.name} to period {max_period} reads "
-            f"{len(f)} terms at each of {patterns} patterns, more than "
-            f"{MAX_SCAN_EVALUATIONS} evaluations"
-        )
-    exact = not coboundary_decompose(group, f).canonical
+    scan = f"an orbit scan of {group.name}"
+
+    def patterns(n):
+        return sum(r**p for p in range(1, n + 1))
+    check_budget(scan, patterns, MAX_SCAN_PATTERNS, "patterns", steps=max_period)
+    check_budget(
+        scan, lambda n: patterns(n) * max(1, len(f)), MAX_SCAN_EVALUATIONS,
+        "evaluations", steps=max_period,
+    )
+    exact = not zchain.coinvariant_class(f)
     for point in orbit_representatives(group, max_period):
         total = periodic_orbit_sum(group, f, point)
         if total != 0:

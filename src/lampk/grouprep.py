@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .errors import CatalogError, GroupDataError
+from .errors import CatalogError, GroupDataError, check_budget
 
 ISO = "iso"
 NOT_ISO = "not-iso"
@@ -82,6 +82,9 @@ _CATALOG: dict[str, tuple[int, tuple[int, ...]]] = {
 
 _CYCLIC_RE = re.compile(r"^(?:c(\d+)|cyclic\((\d+)\))$", re.IGNORECASE)
 
+# Irreps a catalog cyclic group may have: its dims are built as a tuple.
+MAX_CYCLIC_ORDER = 1 << 16
+
 
 def builtin(name: str) -> GroupRepData:
     """Look up a group in the built-in catalog.
@@ -91,9 +94,13 @@ def builtin(name: str) -> GroupRepData:
     """
     cyclic = _CYCLIC_RE.match(name.strip())
     if cyclic:
-        n = int(cyclic.group(1) or cyclic.group(2))
+        try:
+            n = int(cyclic.group(1) or cyclic.group(2))
+        except ValueError as exc:  # more digits than the interpreter converts
+            raise CatalogError(f"cyclic group order: {exc}") from exc
         if n < 2:
             raise CatalogError(f"cyclic({n}): order must be at least 2")
+        check_budget("a catalog cyclic group", n, MAX_CYCLIC_ORDER, "irreps")
         return GroupRepData(name=f"C{n}", order=n, dims=(1,) * n)
     for key, (order, dims) in _CATALOG.items():
         if key.lower() == name.strip().lower():

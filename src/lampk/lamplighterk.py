@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import zchain
-from .errors import BudgetError, LampkError
+from .errors import LampkError, check_budget
 from .grouprep import GroupRepData
 from .sampling import random_chain, window_range
 from .shiftwords import EMPTY_WORD, Word, canonicalize, enumerate_canonical
@@ -104,12 +104,10 @@ def trace_image_level(group: GroupRepData, n: int) -> Fraction:
     if n < 0:
         raise LampkError(f"level must be >= 0, got {n}")
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    # |F| >= 2 gives |F|^(4d) >= 16^d > 10^d, so capping n keeps the
-    # decision and never builds a huge integer.
-    if digits and group.order ** min(n, 4 * digits) >= 10**digits:
-        raise BudgetError(
-            f"the level-{n} denominator {group.order}^{n} of {group.name} has "
-            f"more than {digits} digits"
+    if digits:
+        check_budget(
+            f"the level-{n} denominator |{group.name}|^{n}",
+            lambda k: group.order**k, 10**digits - 1, "digits", steps=n, stated=digits,
         )
     return Fraction(gcd(group.order, *group.dims[1:]) ** n, group.order**n)
 
@@ -144,6 +142,14 @@ class PVReport:
         )))
 
 
+# Positions the samples of one pv_check may draw from, counted as
+# samples * (2 * window + 1): the default 1000 samples at window 4 are 9 000
+# of them and take about 0.2 s.  A sampled chain has at most 5 words within
+# the window, so its witness (5 * window terms at most) stays well inside
+# zchain.MAX_WITNESS_TERMS.
+MAX_SAMPLED_POSITIONS = 1 << 15
+
+
 def pv_check(
     group: GroupRepData, samples: int, window: int, seed: int
 ) -> PVReport:
@@ -152,6 +158,10 @@ def pv_check(
         raise LampkError(f"samples must be >= 1, got {samples}")
     if window < 0:
         raise LampkError(f"window must be >= 0, got {window}")
+    check_budget(
+        f"a pv-check of {samples} samples at window {window}",
+        samples * (2 * window + 1), MAX_SAMPLED_POSITIONS, "sampled positions",
+    )
     rng = random.Random(seed)
     positions = window_range(window)
     report = PVReport(

@@ -13,7 +13,7 @@ from collections.abc import Mapping
 from itertools import product
 from typing import Iterable
 
-from .errors import BudgetError, LampkError
+from .errors import LampkError, check_budget
 from .grouprep import GroupRepData
 
 
@@ -68,20 +68,18 @@ class Word:
             return 0
         return self._items[-1][0] - self._items[0][0] + 1
 
-    def dense(self) -> tuple[int, ...]:
-        """Index vector over the support window, trivial positions as 0."""
-        if not self._items:
-            return ()
-        lo = self._items[0][0]
-        vec = [0] * self.window_length()
-        for pos, idx in self._items:
-            vec[pos - lo] = idx
-        return tuple(vec)
-
     def sort_key(self) -> tuple:
-        """Total order: window length, then index vector, then position."""
+        """Total order: window length, then index vector, then position.
+
+        The index vector is compared through its nonzero entries, as
+        (lo - position, index) pairs, with no dense vector built: at the
+        first pair that differs, an entry further left is a nonzero where
+        the other vector has 0, so it sorts later.  Both lists end at the
+        window's right end, so neither is a proper prefix of the other.
+        """
         lo = self._items[0][0] if self._items else 0
-        return (self.window_length(), self.dense(), lo)
+        pairs = tuple((lo - p, idx) for p, idx in self._items)
+        return (self.window_length(), pairs, lo)
 
     def is_canonical(self) -> bool:
         return not self._items or self._items[0][0] == 0
@@ -156,14 +154,11 @@ def enumerate_canonical(group: GroupRepData, max_len: int) -> list[Word]:
     """
     if max_len < 1:
         raise LampkError(f"max_len must be >= 1, got {max_len}")
-    # The count at least doubles with each length, so capping max_len
-    # keeps the decision and never builds a huge integer.
-    cap = MAX_CANONICAL_WORDS.bit_length() + 1
-    if canonical_count(group, min(max_len, cap)) > MAX_CANONICAL_WORDS:
-        raise BudgetError(
-            f"{group.name} has more than {MAX_CANONICAL_WORDS} canonical "
-            f"words at max_len {max_len}"
-        )
+    check_budget(
+        f"listing the words of {group.name} at max_len {max_len}",
+        lambda n: canonical_count(group, n), MAX_CANONICAL_WORDS,
+        "canonical words", steps=max_len,
+    )
     r = group.num_irreps
     words = [EMPTY_WORD]
     words.extend(Word({0: g}) for g in range(1, r))

@@ -1,5 +1,7 @@
 import json
+import os
 import random
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -134,18 +136,13 @@ def test_claim_check(capsys):
     assert isinstance(data["elapsed_ms"], int)
 
 
-def test_claim_check_budget_env(capsys, monkeypatch):
-    monkeypatch.setenv("LAMPK_BUDGET_COLS", "10")
-    code, out, err = run_cli(capsys, "claim-check", "--group", "C2", "--levels", "4")
-    assert code == 1
-    assert json.loads(err)["error"]["type"] == "BudgetError"
-
-
-def test_claim_check_budget_env_not_integer_is_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("LAMPK_BUDGET_COLS", "lots")
-    with pytest.raises(SystemExit) as exc:
-        main(["claim-check", "--group", "C2", "--levels", "3"])
-    assert exc.value.code == 2
+def test_claim_check_over_the_column_limit(capsys):
+    # C2 at 17 levels: 262 142 columns, over the limit of 100 000
+    code, out, err = run_cli(capsys, "claim-check", "--group", "C2", "--levels", "17")
+    assert (code, out) == (1, "")
+    error = json.loads(err)["error"]
+    assert error["type"] == "BudgetError"
+    assert "more than 100000 columns" in error["message"]
 
 
 def test_claim_check_c2_level_12_is_fast(capsys):
@@ -252,6 +249,10 @@ def _wide_chain_json() -> str:
     return json.dumps(jsonio.chain_to_json(m - alpha(m)))
 
 
+# one word at position 10^8: its witness would have 10^8 terms
+FAR_WORD = '[{"word":{"entries":{"100000000":1}},"coeff":1}]'
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [
@@ -261,6 +262,12 @@ def _wide_chain_json() -> str:
         (["cylinder-expand", "--group", "C2", "--spec",
           json.dumps({str(p): 0 for p in range(40)})], 1),
         (["livsic", "--group", "C2", "--fn", _wide_chain_json(), "--max-period", "14"], 1),
+        (["claim-check", "--group", "C2", "--levels", "20000"], 1),
+        (["claim-check", "--group", "C2", "--levels", "200000"], 1),
+        (["decompose", "--group", "C2", "--fn", FAR_WORD], 1),
+        (["pv-check", "--group", "C2", "--samples", "100000000"], 1),
+        (["pv-check", "--group", "C2", "--samples", "1", "--window", "100000000"], 1),
+        (["fingerprint", "--group", "C100000000"], 1),
     ],
 )
 def test_large_sizes_end_in_the_contract_quickly(capsys, argv, code):
@@ -273,6 +280,49 @@ def test_large_sizes_end_in_the_contract_quickly(capsys, argv, code):
         assert json.loads(err)["error"]["type"] == "BudgetError"
     else:
         assert json.loads(out)["generator"] == {"num": 1, "den": 2**26}
+
+
+def test_far_word_livsic_builds_no_witness(capsys):
+    start = time.monotonic()
+    data = run_json(capsys, "livsic", "--group", "C2", "--fn", FAR_WORD)
+    assert time.monotonic() - start < 2
+    assert data["is_coboundary"] is False
+    assert data["violating_orbit"] == [1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cylinder-expand", "--group", "C4", "--spec", '{"-1": 0, "100000000": 2}'],
+        ["decompose", "--group", "C2", "--fn",
+         '[{"word":{"entries":{"0":1,"100000000":1}},"coeff":1},'
+         '{"word":{"entries":{"0":1,"2":1}},"coeff":1}]'],
+    ],
+)
+def test_wide_words_print_in_order_quickly(capsys, argv):
+    # words 10^8 wide are sorted for printing with no dense vector built
+    start = time.monotonic()
+    data = run_json(capsys, *argv)
+    assert time.monotonic() - start < 2
+    chain = data["chain"] if "chain" in data else data["canonical"]
+    assert "100000000" in chain[-1]["word"]["entries"]
+
+
+def test_huge_bases_end_in_the_contract_quickly(capsys):
+    # an inline group whose order has 3 001 digits: |F|^2 is over the digit
+    # limit already, so no power near |F|^14 286 is ever built
+    d = 10**1500
+    group = json.dumps({"name": "big", "order": 1 + d * d, "dims": [1, d]})
+    old_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        start = time.monotonic()
+        code, out, err = run_cli(capsys, "trace-image", "--group", group, "--level", "20000")
+        assert time.monotonic() - start < 2
+        assert (code, out) == (1, "")
+        assert "more than 4300 digits" in json.loads(err)["error"]["message"]
+    finally:
+        sys.set_int_max_str_digits(old_limit)
 
 
 def test_integers_past_the_digit_limit_end_in_the_contract(capsys):
@@ -299,6 +349,54 @@ def test_integers_past_the_digit_limit_end_in_the_contract(capsys):
         assert data["generator"] == {"num": 1, "den": 2**14284}
     finally:
         sys.set_int_max_str_digits(old_limit)
+
+
+def test_horizon_past_the_digit_limit_is_not_printed(capsys):
+    # words at -(10^4300 - 1) and 10^4300 - 1: the default horizon has 4 301
+    # digits, so the refusal must not format it
+    old_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        far = "9" * 4300
+        chain_json = '[{"word":{"entries":{"-%s":1,"%s":1}},"coeff":1}]' % (far, far)
+        code, out, err = run_cli(capsys, "livsic", "--group", "C2", "--fn", chain_json)
+        assert (code, out) == (1, "")
+        error = json.loads(err)["error"]
+        assert error["type"] == "BudgetError"
+        assert "more than 131072 patterns" in error["message"]
+    finally:
+        sys.set_int_max_str_digits(old_limit)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decompose", "--group", "C2", "--fn", "[" * 100_000 + "]" * 100_000],
+        ["decompose", "--group", "C2", "--fn", "[" * 100_000],
+        ["livsic", "--group", "C2", "--fn", "[" * 100_000 + "]" * 100_000],
+        ["trace", "--group", "C2", "--word", '{"a":' * 100_000 + "1" + "}" * 100_000],
+        ["cylinder-expand", "--group", "C2", "--spec", '{"a":' * 100_000 + "0" + "}" * 100_000],
+        ["fingerprint", "--group", '{"a":' * 100_000 + "0" + "}" * 100_000],
+    ],
+)
+def test_json_nested_past_the_recursion_limit_is_a_domain_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert "nested too deeply" in json.loads(err)["error"]["message"]
+
+
+def test_closed_stdout_ends_in_the_contract():
+    # 8 193 words print as about 1 MB, past any pipe buffer, so the writer
+    # is still writing when the reader goes away after 100 bytes
+    argv = [sys.executable, "-m", "lampk.cli", "orbits", "--group", "C2", "--max-len", "14"]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=30) == 1
+    assert "Traceback" not in err
+    assert json.loads(err)["error"]["type"] == "BrokenPipeError"
 
 
 def test_livsic_default_horizon_is_proven(capsys):

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lampk.colimitk import (
+    MAX_CERTIFICATE_COLUMNS,
     LevelVector,
     claim_check,
     claim_matrix,
@@ -155,8 +156,9 @@ def test_claim_certificate_unimodular(name, levels):
 
 
 def test_claim_budget_guard():
+    assert total_size(builtin("C2"), 17) == 262_142 > MAX_CERTIFICATE_COLUMNS
     with pytest.raises(BudgetError):
-        claim_check(builtin("C2"), 4, budget=10)
+        claim_check(builtin("C2"), 17)
 
 
 def test_claim_rejects_shallow_truncation():

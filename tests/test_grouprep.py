@@ -1,8 +1,11 @@
+import sys
+
 import pytest
 
-from lampk.errors import CatalogError, GroupDataError
+from lampk.errors import BudgetError, CatalogError, GroupDataError
 from lampk.grouprep import (
     ISO,
+    MAX_CYCLIC_ORDER,
     NOT_ISO,
     UNDECIDED,
     builtin,
@@ -46,6 +49,19 @@ def test_unknown_name_lists_catalog():
         builtin("F20")
     with pytest.raises(CatalogError):
         builtin("cyclic(1)")
+
+
+def test_cyclic_order_guards():
+    assert builtin("C65536").num_irreps == MAX_CYCLIC_ORDER
+    with pytest.raises(BudgetError, match="more than 65536 irreps"):
+        builtin("C65537")
+    old_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(CatalogError):
+            builtin("C" + "9" * 4301)
+    finally:
+        sys.set_int_max_str_digits(old_limit)
 
 
 def test_validate():

@@ -125,6 +125,19 @@ def test_enumerate_properties():
     assert keys == sorted(keys)
 
 
+@given(words_st, words_st)
+def test_sort_key_orders_as_the_dense_vector(a, b):
+    def dense_key(w):
+        lo = w.min_support or 0
+        dense = [0] * w.window_length()
+        for p, idx in w.entries:
+            dense[p - lo] = idx
+        return (w.window_length(), dense, lo)
+
+    assert (a.sort_key() < b.sort_key()) == (dense_key(a) < dense_key(b))
+    assert (a.sort_key() == b.sort_key()) == (a == b)
+
+
 def test_enumerate_rejects_bad_len():
     with pytest.raises(LampkError):
         enumerate_canonical(builtin("C2"), 0)

@@ -5,84 +5,77 @@ bases, the inductive-limit direct-sum certificate, kernel/cokernel
 bookkeeping for the crossed product, trace images, and, for abelian base
 groups, the full-shift coboundary splitting and the periodic-orbit
 coboundary test.
-"""
 
-from .colimitk import ClaimCertificate, LevelVector, claim_check, f_apply, r_map, s_map
-from .errors import (
-    BudgetError,
-    CatalogError,
-    GroupDataError,
-    LampkError,
-    NonAbelianGroupError,
-    TruncationError,
-)
-from .fullshift import (
-    CylinderSpec,
-    PeriodicPoint,
-    beta_eval,
-    coboundary_decompose,
-    cylinder_to_chain,
-    livsic_check,
-    periodic_orbit_sum,
-)
-from .grouprep import (
-    GroupRepData,
-    builtin,
-    csalgebras_isomorphic_abelian_case,
-    fingerprint,
-    validate,
-)
-from .lamplighterk import (
-    KGroupReport,
-    k_groups,
-    pv_check,
-    trace_of_chain,
-    trace_of_word,
-    trace_image_level,
-)
-from .shiftwords import Word, canonicalize, enumerate_canonical, shift
-from .zchain import ZChain, alpha, coinvariant_class, decompose, is_invariant
+Importing the package loads none of its modules: each public name, and
+each submodule, is imported on first use (PEP 562), so the CLI loads only
+what its subcommand runs.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BudgetError",
-    "CatalogError",
-    "ClaimCertificate",
-    "CylinderSpec",
-    "GroupDataError",
-    "GroupRepData",
-    "KGroupReport",
-    "LampkError",
-    "LevelVector",
-    "NonAbelianGroupError",
-    "PeriodicPoint",
-    "TruncationError",
-    "Word",
-    "ZChain",
-    "alpha",
-    "beta_eval",
-    "builtin",
-    "canonicalize",
-    "claim_check",
-    "coboundary_decompose",
-    "coinvariant_class",
-    "csalgebras_isomorphic_abelian_case",
-    "cylinder_to_chain",
-    "decompose",
-    "enumerate_canonical",
-    "f_apply",
-    "fingerprint",
-    "is_invariant",
-    "k_groups",
-    "livsic_check",
-    "periodic_orbit_sum",
-    "pv_check",
-    "r_map",
-    "s_map",
-    "shift",
-    "trace_of_chain",
-    "trace_of_word",
-    "trace_image_level",
-    "validate",
-]
+# Seed of pv-check's random chains and of the acceptance criteria's draws.
+DEFAULT_SEED = 42
+
+# Public name -> the submodule that defines it.
+_EXPORTS = {
+    "BudgetError": "errors",
+    "CatalogError": "errors",
+    "ClaimCertificate": "colimitk",
+    "CylinderSpec": "fullshift",
+    "GroupDataError": "errors",
+    "GroupRepData": "grouprep",
+    "KGroupReport": "lamplighterk",
+    "LampkError": "errors",
+    "LevelVector": "colimitk",
+    "NonAbelianGroupError": "errors",
+    "PeriodicPoint": "fullshift",
+    "TruncationError": "errors",
+    "Word": "shiftwords",
+    "ZChain": "zchain",
+    "alpha": "zchain",
+    "beta_eval": "fullshift",
+    "builtin": "grouprep",
+    "canonicalize": "shiftwords",
+    "claim_check": "colimitk",
+    "coboundary_decompose": "fullshift",
+    "coinvariant_class": "zchain",
+    "csalgebras_isomorphic_abelian_case": "grouprep",
+    "cylinder_to_chain": "fullshift",
+    "decompose": "zchain",
+    "enumerate_canonical": "shiftwords",
+    "f_apply": "colimitk",
+    "fingerprint": "grouprep",
+    "is_invariant": "zchain",
+    "k_groups": "lamplighterk",
+    "livsic_check": "fullshift",
+    "periodic_orbit_sum": "fullshift",
+    "pv_check": "lamplighterk",
+    "r_map": "colimitk",
+    "s_map": "colimitk",
+    "shift": "shiftwords",
+    "trace_of_chain": "lamplighterk",
+    "trace_of_word": "lamplighterk",
+    "trace_image_level": "lamplighterk",
+    "validate": "grouprep",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    from importlib import import_module
+
+    if name in _EXPORTS:
+        value = getattr(import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+        globals()[name] = value
+        return value
+    try:
+        return import_module(f"{__name__}.{name}")
+    except ModuleNotFoundError as exc:
+        if exc.name != f"{__name__}.{name}":
+            raise
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -13,28 +13,15 @@ import argparse
 import json
 import os
 import sys
-from pathlib import Path
 
-from . import jsonio, selfcheck
-from .colimitk import claim_check
+from . import DEFAULT_SEED
 from .errors import LampkError
-from .fullshift import (
-    CylinderSpec,
-    coboundary_decompose,
-    cylinder_to_chain,
-    livsic_check,
-)
 from .grouprep import GroupRepData, builtin, csalgebras_isomorphic_abelian_case, fingerprint
-from .lamplighterk import (
-    BOUNDARY_IDENTITY,
-    k_groups,
-    pv_check,
-    trace_image_level,
-    trace_of_word,
-)
-from .shiftwords import enumerate_canonical
 
-DEFAULT_SEED = selfcheck.DEFAULT_SEED
+# Each handler imports the modules it runs when it runs, so a subcommand
+# loads only its own code.  Handlers read functions off their modules at
+# call time, never at import, so a function replaced on its module (as a
+# tracer does) is the one called.
 
 
 class UsageError(Exception):
@@ -45,6 +32,8 @@ def _parse_group(text: str) -> GroupRepData:
     """A builtin name, or inline JSON {"name", "order", "dims"}."""
     text = text.strip()
     if text.startswith("{"):
+        from . import jsonio
+
         return jsonio.group_from_json(_parse_json_arg("--group", text))
     return builtin(text)
 
@@ -68,10 +57,13 @@ def _load_chain(path_or_json: str, group: GroupRepData):
 
     Every word entry must index an irrep of the group.
     """
+    from . import jsonio
+
     text = path_or_json.strip()
     if not text.startswith("["):
         try:
-            text = Path(text).read_text()
+            with open(text) as file:
+                text = file.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"--fn: not a readable chain file: {exc}") from exc
     chain = jsonio.chain_from_json(_parse_json_arg("--fn", text))
@@ -121,6 +113,9 @@ def cmd_classify(args) -> int:
 
 
 def cmd_orbits(args) -> int:
+    from . import jsonio
+    from .shiftwords import enumerate_canonical
+
     group = _parse_group(args.group)
     words = enumerate_canonical(group, args.max_len)
     payload = {
@@ -134,6 +129,9 @@ def cmd_orbits(args) -> int:
 
 
 def cmd_k0_basis(args) -> int:
+    from . import jsonio
+    from .lamplighterk import k_groups
+
     group = _parse_group(args.group)
     corr = k_groups(group, args.max_len)
     basis = corr.analytic.k0_basis
@@ -149,12 +147,16 @@ def cmd_k0_basis(args) -> int:
 
 
 def cmd_k1(args) -> int:
+    from .lamplighterk import BOUNDARY_IDENTITY
+
     _parse_group(args.group)  # validated, but K1 is the same for every F
     _emit({"K1": "Z", "generator": "[u]", "boundary": BOUNDARY_IDENTITY})
     return 0
 
 
 def cmd_claim_check(args) -> int:
+    from .colimitk import claim_check
+
     group = _parse_group(args.group)
     cert = claim_check(group, args.levels)
     _emit(
@@ -169,6 +171,8 @@ def cmd_claim_check(args) -> int:
 
 
 def cmd_pv_check(args) -> int:
+    from .lamplighterk import pv_check
+
     group = _parse_group(args.group)
     report = pv_check(group, samples=args.samples, window=args.window, seed=args.seed)
     _emit(
@@ -185,6 +189,9 @@ def cmd_pv_check(args) -> int:
 
 
 def cmd_trace(args) -> int:
+    from . import jsonio
+    from .lamplighterk import trace_of_word
+
     group = _parse_group(args.group)
     word = jsonio.word_from_json(_parse_json_arg("--word", args.word))
     value = trace_of_word(group, word)
@@ -199,6 +206,9 @@ def cmd_trace(args) -> int:
 
 
 def cmd_trace_image(args) -> int:
+    from . import jsonio
+    from .lamplighterk import trace_image_level
+
     group = _parse_group(args.group)
     generator = trace_image_level(group, args.level)
     _emit(
@@ -212,6 +222,9 @@ def cmd_trace_image(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    from . import jsonio
+    from .fullshift import coboundary_decompose
+
     group = _parse_group(args.group)
     chain = _load_chain(args.fn, group)
     witness, canonical = coboundary_decompose(group, chain)
@@ -226,6 +239,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_livsic(args) -> int:
+    from .fullshift import livsic_check
+
     group = _parse_group(args.group)
     chain = _load_chain(args.fn, group)
     report = livsic_check(group, chain, max_period=args.max_period)
@@ -247,6 +262,9 @@ def cmd_livsic(args) -> int:
 
 
 def cmd_cylinder_expand(args) -> int:
+    from . import jsonio
+    from .fullshift import CylinderSpec, cylinder_to_chain
+
     group = _parse_group(args.group)
     raw = _parse_json_arg("--spec", args.spec)
     if not isinstance(raw, dict):
@@ -258,6 +276,8 @@ def cmd_cylinder_expand(args) -> int:
 
 
 def cmd_selfcheck(args) -> int:
+    from . import selfcheck
+
     results = selfcheck.run_all(budget_s=args.budget)
     for res in results:
         print(

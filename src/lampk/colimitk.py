@@ -19,8 +19,8 @@ determinant.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from . import intdet
 from .errors import LampkError, TruncationError, check_budget
@@ -145,8 +145,7 @@ def claim_matrix(group: GroupRepData, levels: int) -> list[list[tuple[int, int]]
     return columns
 
 
-@dataclass(frozen=True)
-class ClaimCertificate:
+class ClaimCertificate(NamedTuple):
     group: str
     levels: int
     size: int

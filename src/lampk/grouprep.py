@@ -13,7 +13,6 @@ entries throughout the package are indices into ``dims``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from .errors import CatalogError, GroupDataError, check_budget
 
@@ -22,42 +21,66 @@ NOT_ISO = "not-iso"
 UNDECIDED = "undecided"
 
 
-@dataclass(frozen=True)
 class GroupRepData:
-    """A finite group known through |F| and its irrep dimension vector."""
+    """A finite group known through |F| and its irrep dimension vector.
 
-    name: str
-    order: int
-    dims: tuple[int, ...]
-    abelian_order: int = field(init=False)
+    Immutable, and equal and hashable by all four fields; abelian_order
+    (|F^ab|, the count of 1-dimensional irreps) is derived, not passed.
+    """
 
-    def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        object.__setattr__(self, "dims", dims)
-        if self.order < 2:
-            raise GroupDataError(
-                f"{self.name!r}: order must be at least 2, got {self.order}"
-            )
+    __slots__ = ("name", "order", "dims", "abelian_order")
+
+    def __init__(self, name: str, order: int, dims):
+        dims = tuple(int(d) for d in dims)
+        if order < 2:
+            raise GroupDataError(f"{name!r}: order must be at least 2, got {order}")
         if not dims or dims[0] != 1:
             raise GroupDataError(
-                f"{self.name!r}: index 0 must be the trivial representation "
+                f"{name!r}: index 0 must be the trivial representation "
                 f"(dims[0] = 1), got dims = {dims}"
             )
         if any(d < 1 for d in dims):
-            raise GroupDataError(f"{self.name!r}: irrep dimensions must be positive")
+            raise GroupDataError(f"{name!r}: irrep dimensions must be positive")
         square_sum = sum(d * d for d in dims)
-        if square_sum != self.order:
+        if square_sum != order:
             raise GroupDataError(
-                f"{self.name!r}: sum of squared dimensions is {square_sum}, "
-                f"expected the group order {self.order}"
+                f"{name!r}: sum of squared dimensions is {square_sum}, "
+                f"expected the group order {order}"
             )
         abelian_order = sum(1 for d in dims if d == 1)
-        if self.order % abelian_order != 0:
+        if order % abelian_order != 0:
             raise GroupDataError(
-                f"{self.name!r}: count of 1-dimensional irreps "
-                f"({abelian_order}) does not divide the order {self.order}"
+                f"{name!r}: count of 1-dimensional irreps "
+                f"({abelian_order}) does not divide the order {order}"
             )
-        object.__setattr__(self, "abelian_order", abelian_order)
+        for attr, value in zip(self.__slots__, (name, order, dims, abelian_order)):
+            object.__setattr__(self, attr, value)
+
+    def _fields(self) -> tuple:
+        return (self.name, self.order, self.dims, self.abelian_order)
+
+    def __setattr__(self, attr, value):
+        raise AttributeError(f"cannot assign to field {attr!r}")
+
+    def __delattr__(self, attr):
+        raise AttributeError(f"cannot delete field {attr!r}")
+
+    def __reduce__(self):
+        return GroupRepData, (self.name, self.order, self.dims)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (
+            f"GroupRepData(name={self.name!r}, order={self.order!r}, "
+            f"dims={self.dims!r}, abelian_order={self.abelian_order!r})"
+        )
 
     @property
     def num_irreps(self) -> int:

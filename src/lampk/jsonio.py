@@ -8,12 +8,15 @@ abelian_order field.  Every emitter here must re-parse to the same value.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .errors import LampkError
 from .grouprep import GroupRepData
 from .shiftwords import Word
 from .zchain import ZChain
+
+if TYPE_CHECKING:  # fractions loads decimal: only fraction_from_json imports it
+    from fractions import Fraction
 
 
 def exact_int(value, what: str) -> int:
@@ -82,4 +85,6 @@ def fraction_to_json(value: Fraction) -> dict:
 
 
 def fraction_from_json(data: dict) -> Fraction:
+    from fractions import Fraction
+
     return Fraction(int(data["num"]), int(data["den"]))

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import random
 import sys
-from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import zchain
 from .errors import LampkError, check_budget
@@ -23,14 +22,16 @@ from .sampling import random_chain, window_range
 from .shiftwords import EMPTY_WORD, Word, canonicalize, enumerate_canonical
 from .zchain import ZChain
 
+if TYPE_CHECKING:  # fractions loads decimal: only the traces import it
+    from fractions import Fraction
+
 TOPOLOGICAL = "topological"
 ANALYTIC = "analytic"
 
 BOUNDARY_IDENTITY = "∂1[u] = -[1]"
 
 
-@dataclass(frozen=True)
-class KGroupReport:
+class KGroupReport(NamedTuple):
     """One side of the correspondence, truncated at max_len."""
 
     side: str
@@ -40,8 +41,7 @@ class KGroupReport:
     boundary: str = BOUNDARY_IDENTITY
 
 
-@dataclass(frozen=True)
-class AssemblyCorrespondence:
+class AssemblyCorrespondence(NamedTuple):
     topological: KGroupReport
     analytic: KGroupReport
     pairs: tuple[tuple[Word, Word], ...]
@@ -72,6 +72,8 @@ def trace_of_word(group: GroupRepData, word: Word) -> Fraction:
     Product of the entry dimensions over |F| raised to the support size;
     the empty word is the class of the unit, trace 1.
     """
+    from fractions import Fraction
+
     numerator = 1
     for _, idx in word.entries:
         if idx >= group.num_irreps:
@@ -85,6 +87,8 @@ def trace_of_word(group: GroupRepData, word: Word) -> Fraction:
 
 def trace_of_chain(group: GroupRepData, chain: ZChain) -> Fraction:
     """Z-linear extension of trace_of_word."""
+    from fractions import Fraction
+
     total = Fraction(0)
     for word, coeff in chain.items():
         total += coeff * trace_of_word(group, word)
@@ -101,6 +105,8 @@ def trace_image_level(group: GroupRepData, n: int) -> Fraction:
     with more digits than the interpreter prints raises BudgetError before
     it is computed.
     """
+    from fractions import Fraction
+
     if n < 0:
         raise LampkError(f"level must be >= 0, got {n}")
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -112,7 +118,6 @@ def trace_image_level(group: GroupRepData, n: int) -> Fraction:
     return Fraction(gcd(group.order, *group.dims[1:]) ** n, group.order**n)
 
 
-@dataclass
 class PVReport:
     """Outcome of the kernel/cokernel property checks on random chains.
 
@@ -122,14 +127,15 @@ class PVReport:
     term-exactly for every sampled chain.
     """
 
-    group: str
-    samples: int
-    window: int
-    seed: int
-    invariant_mismatches: list = field(default_factory=list)
-    nonvanishing_coboundaries: list = field(default_factory=list)
-    moved_canonicals: list = field(default_factory=list)
-    identity_failures: list = field(default_factory=list)
+    def __init__(self, group: str, samples: int, window: int, seed: int):
+        self.group = group
+        self.samples = samples
+        self.window = window
+        self.seed = seed
+        self.invariant_mismatches = []
+        self.nonvanishing_coboundaries = []
+        self.moved_canonicals = []
+        self.identity_failures = []
 
     @property
     def passed(self) -> bool:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable
 
-from . import intdet, zchain
+from . import DEFAULT_SEED, intdet, zchain
 from .colimitk import claim_check
 from .fullshift import (
     PeriodicPoint,
@@ -36,8 +36,6 @@ from .shiftwords import (
     shift,
 )
 from .zchain import ZChain
-
-DEFAULT_SEED = 42
 
 
 class CheckFailure(AssertionError):

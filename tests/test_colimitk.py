@@ -155,6 +155,12 @@ def test_claim_certificate_unimodular(name, levels):
     assert cert.holds
 
 
+def test_claim_certificate_is_a_named_tuple():
+    cert = claim_check(builtin("C2"), 3)
+    group, levels, size, det, elapsed_ms = cert
+    assert cert == ("C2", 3, 14, det, elapsed_ms) and cert.holds
+
+
 def test_claim_budget_guard():
     assert total_size(builtin("C2"), 17) == 262_142 > MAX_CERTIFICATE_COLUMNS
     with pytest.raises(BudgetError):

@@ -14,6 +14,7 @@ from lampk.fullshift import (
     MAX_SCAN_EVALUATIONS,
     MAX_SCAN_PATTERNS,
     CylinderSpec,
+    LivsicReport,
     PeriodicPoint,
     beta_eval,
     coboundary_decompose,
@@ -27,7 +28,7 @@ from lampk.fullshift import (
 from lampk.grouprep import builtin
 from lampk.sampling import random_chain, random_word
 from lampk.shiftwords import EMPTY_WORD, Word
-from lampk.zchain import ZChain, alpha
+from lampk.zchain import ZChain, alpha, coinvariant_class
 
 C2 = builtin("C2")
 C3 = builtin("C3")
@@ -352,6 +353,32 @@ def test_livsic_translation_invariant(f, k):
     assert livsic_check(C3, alpha(f, k)) == livsic_check(C3, f)
 
 
+def _livsic_by_scan(group, f, max_period=None):
+    """The orbit test as an exhaustive scan, coboundary or not: the oracle
+    for livsic_check, which skips the scan for proven coboundaries."""
+    if max_period is None:
+        max_period = default_period_bound(f)
+    exact = not coinvariant_class(f)
+    for x in orbit_representatives(group, max_period):
+        total = periodic_orbit_sum(group, f, x)
+        if total:
+            return LivsicReport(exact, False, max_period, x, total)
+    return LivsicReport(exact, True, max_period)
+
+
+def test_livsic_coboundary_skips_the_scan(monkeypatch):
+    def no_scan(group, max_period):
+        raise AssertionError("a proven coboundary was scanned")
+
+    monkeypatch.setattr(fullshift, "orbit_representatives", no_scan)
+    m = ZChain.of(Word({0: 1, 2: 2}), 3) + ZChain.of(Word({1: 2}), -1)
+    assert livsic_check(C3, m - alpha(m)) == LivsicReport(True, True, 7)
+    assert livsic_check(C3, ZChain(), 5) == LivsicReport(True, True, 5)
+    # the guards still refuse before the answer is known
+    with pytest.raises(BudgetError):
+        livsic_check(C2, ZChain(), 17)
+
+
 def test_livsic_fuzz_negative_offsets():
     rng = random.Random(11)
     for i in range(800):
@@ -371,6 +398,7 @@ def test_livsic_fuzz_negative_offsets():
         else:
             f = random_chain(rng, group, positions, max_terms=4)
         report = livsic_check(group, f)
+        assert report == _livsic_by_scan(group, f), f
         assert report.max_period_checked <= 2 * window - 1
         assert report.consistent, (f, report)
         if not report.periodic_sums_vanish:

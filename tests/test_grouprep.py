@@ -1,3 +1,5 @@
+import copy
+import pickle
 import sys
 
 import pytest
@@ -8,6 +10,7 @@ from lampk.grouprep import (
     MAX_CYCLIC_ORDER,
     NOT_ISO,
     UNDECIDED,
+    GroupRepData,
     builtin,
     csalgebras_isomorphic_abelian_case,
     fingerprint,
@@ -76,6 +79,24 @@ def test_validate():
         validate("bad", 1, (1,))
     with pytest.raises(GroupDataError, match="divide"):
         validate("bad", 7, (1, 1, 1, 2))
+
+
+def test_group_rep_data_is_an_immutable_value():
+    g = builtin("S3")
+    same = GroupRepData(name="S3", order=6, dims=[1, 1, 2])
+    assert g == same and hash(g) == hash(same) and g is not same
+    assert g != validate("S3'", 6, (1, 1, 2)) and g != builtin("C6")
+    assert g != ("S3", 6, (1, 1, 2), 2)
+    assert repr(g) == "GroupRepData(name='S3', order=6, dims=(1, 1, 2), abelian_order=2)"
+    with pytest.raises(AttributeError):
+        g.order = 7
+    with pytest.raises(AttributeError):
+        g.extra = 1
+    with pytest.raises(AttributeError):
+        del g.dims
+    with pytest.raises(TypeError):
+        GroupRepData("S3", 6, (1, 1, 2), 2)  # abelian_order is derived
+    assert copy.deepcopy(g) == g == pickle.loads(pickle.dumps(g))
 
 
 def test_fingerprint():

@@ -52,6 +52,13 @@ def test_k1_reports():
     assert corr.analytic.boundary == BOUNDARY_IDENTITY == "∂1[u] = -[1]"
 
 
+def test_k_group_reports_are_named_tuples():
+    topological, analytic, pairs = k_groups(builtin("C2"), 2)
+    basis = analytic.k0_basis
+    assert topological == ("topological", basis, "i_*(t)", "Z", BOUNDARY_IDENTITY)
+    assert pairs == tuple(zip(basis, basis))
+
+
 def test_bijection_respects_classes():
     # identity pairs: same canonical class and same orbit under shifts
     corr = k_groups(builtin("C2"), 4)

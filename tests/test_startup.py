@@ -1,0 +1,94 @@
+"""What importing lampk loads: the CLI's cold path and the lazy public API.
+
+The cold-path checks run a fresh interpreter with ``PYTHONPATH=src``.  It
+starts with ``-S``, so no site hook of the host loads a module before
+lampk does.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import lampk
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Modules the CLI start-up and a fingerprint must not load: the
+# dataclasses machinery, fractions (which loads decimal), the acceptance
+# criteria, and the modules of other subcommands.
+OFF_THE_COLD_PATH = (
+    "dataclasses",
+    "fractions",
+    "lampk.selfcheck",
+    "lampk.colimitk",
+    "lampk.fullshift",
+    "lampk.lamplighterk",
+)
+
+
+def _modules_after(code: str) -> set:
+    """sys.modules of a fresh interpreter after it runs code."""
+    probe = f"{code}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def _main(*argv) -> str:
+    return f"import lampk.cli\nlampk.cli.main({list(argv)!r})"
+
+
+def test_cli_import_loads_no_subcommand_code():
+    loaded = _modules_after("import lampk.cli")
+    assert "lampk.cli" in loaded
+    assert loaded.isdisjoint(OFF_THE_COLD_PATH)
+
+
+def test_fingerprint_loads_no_other_subcommand_code():
+    loaded = _modules_after(_main("fingerprint", "--group", "C2"))
+    assert loaded.isdisjoint(OFF_THE_COLD_PATH)
+
+
+def test_claim_check_loads_its_own_modules_only():
+    loaded = _modules_after(_main("claim-check", "--group", "C2", "--levels", "3"))
+    assert "lampk.colimitk" in loaded
+    assert "lampk.fullshift" not in loaded
+    assert "lampk.selfcheck" not in loaded
+
+
+def test_bare_import_resolves_submodules_on_use():
+    loaded = _modules_after("import lampk\nassert lampk.colimitk.claim_check")
+    assert "lampk.colimitk" in loaded
+    assert "lampk.selfcheck" not in loaded
+
+
+def test_every_public_name_resolves():
+    for name in lampk.__all__:
+        assert getattr(lampk, name) is not None, name
+    assert lampk.builtin("S3").order == 6
+    namespace = {}
+    exec("from lampk import *", namespace)
+    assert set(lampk.__all__) <= set(namespace)
+
+
+def test_dir_covers_the_public_names():
+    assert set(lampk.__all__) <= set(dir(lampk))
+
+
+def test_unknown_names_raise_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        lampk.no_such_name
+    assert not hasattr(lampk, "no_such_module_either")
+
+
+def test_submodules_resolve_as_attributes():
+    assert lampk.colimitk is sys.modules["lampk.colimitk"]
+    assert lampk.jsonio.exact_int(3, "x") == 3

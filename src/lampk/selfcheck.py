@@ -22,6 +22,8 @@ from .fullshift import (
     beta_eval,
     coboundary_decompose,
     livsic_check,
+    orbit_representatives,
+    periodic_orbit_sum,
     shift_point,
 )
 from .grouprep import ISO, NOT_ISO, UNDECIDED, builtin, csalgebras_isomorphic_abelian_case
@@ -307,9 +309,15 @@ def check_livsic() -> str:
             f"period bound violation, f = {f!r}",
         )
         if report.is_coboundary_exact:
+            # livsic_check answers a proven coboundary without scanning, so
+            # the forward direction is checked here by the scan itself
             coboundary_samples += 1
+            horizon = report.max_period_checked
             _require(
-                report.periodic_sums_vanish,
+                all(
+                    periodic_orbit_sum(group, f, x) == 0
+                    for x in orbit_representatives(group, horizon)
+                ),
                 f"sample {i}: forward direction failed for {f!r}",
             )
     return (

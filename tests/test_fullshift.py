@@ -434,8 +434,10 @@ def test_livsic_work_guard():
 
 
 def test_livsic_examples():
-    report = livsic_check(C2, ZChain.of(Word({1: 1})) - ZChain.of(Word({4: 1})), 5)
+    f = ZChain.of(Word({1: 1})) - ZChain.of(Word({4: 1}))
+    report = livsic_check(C2, f, 5)
     assert report.is_coboundary_exact and report.periodic_sums_vanish
+    assert _livsic_by_scan(C2, f, 5) == report
 
     report = livsic_check(C2, ZChain.of(EMPTY_WORD), 1)
     assert not report.is_coboundary_exact
@@ -450,11 +452,12 @@ def test_livsic_examples():
 
 @given(chains_st)
 def test_livsic_forward_direction(m):
-    # coboundaries sum to zero over every periodic orbit, for every period
+    # coboundaries sum to zero over every periodic orbit, for every period;
+    # livsic_check skips the scan for them, so the oracle scans
     f = m - alpha(m)
-    report = livsic_check(C3, f, max_period=5)
-    assert report.is_coboundary_exact
-    assert report.periodic_sums_vanish
+    report = _livsic_by_scan(C3, f, max_period=5)
+    assert report == LivsicReport(True, True, 5)
+    assert livsic_check(C3, f, max_period=5) == report
 
 
 def test_livsic_converse_fuzz_small():

@@ -16,6 +16,9 @@ __version__ = "0.1.0"
 # Seed of pv-check's random chains and of the acceptance criteria's draws.
 DEFAULT_SEED = 42
 
+# K_1 boundary identity: the shift unitary's class goes to minus the unit's.
+BOUNDARY_IDENTITY = "∂1[u] = -[1]"
+
 # Public name -> the submodule that defines it.
 _EXPORTS = {
     "BudgetError": "errors",
@@ -24,7 +27,6 @@ _EXPORTS = {
     "CylinderSpec": "fullshift",
     "GroupDataError": "errors",
     "GroupRepData": "grouprep",
-    "KGroupReport": "lamplighterk",
     "LampkError": "errors",
     "LevelVector": "colimitk",
     "NonAbelianGroupError": "errors",
@@ -46,9 +48,9 @@ _EXPORTS = {
     "f_apply": "colimitk",
     "fingerprint": "grouprep",
     "is_invariant": "zchain",
-    "k_groups": "lamplighterk",
     "livsic_check": "fullshift",
     "periodic_orbit_sum": "fullshift",
+    "projection_chain": "zchain",
     "pv_check": "lamplighterk",
     "r_map": "colimitk",
     "s_map": "colimitk",

@@ -17,7 +17,6 @@ backwards: eval(alpha(c), x) == eval(c, shift(x, -1)).
 from __future__ import annotations
 
 from collections.abc import Iterator, Mapping
-from itertools import product
 from typing import NamedTuple, Union
 
 from . import zchain
@@ -124,44 +123,15 @@ class CylinderSpec:
         return f"CylinderSpec({self.constraints})"
 
 
-# Terms one cylinder expansion may build: C2 with 16 trivial pins
-# (65 536 terms) expands and prints in well under a second.
-MAX_CYLINDER_TERMS = 1 << 16
-
-
 def cylinder_to_chain(group: GroupRepData, spec: CylinderSpec) -> ZChain:
     """The unique chain whose function is the cylinder's indicator.
 
-    Pinning a coordinate to the trivial index is not a word constraint, so
-    it expands by inclusion-exclusion: (unconstrained) minus the sum over
-    the nontrivial values at that position.  All coefficients are +-1.
-    The chain has r^k terms for k trivial pins; more than
-    MAX_CYLINDER_TERMS of them raise BudgetError before any is built.
+    It is the projection chain of the cylinder's pins: for abelian F every
+    d_sigma is 1, so a trivial pin expands into (unconstrained) minus the
+    sum over the nontrivial values at that position, with coefficients +-1.
     """
     require_abelian(group)
-    r = group.num_irreps
-    for idx in spec.constraints.values():
-        if idx >= r:
-            raise LampkError(f"constraint value {idx} out of range for {group.name}")
-    fixed = [(p, i) for p, i in spec.constraints.items() if i != 0]
-    trivial_positions = [p for p, i in spec.constraints.items() if i == 0]
-    check_budget(
-        f"expanding the trivial pins of a {group.name} cylinder",
-        lambda k: r**k, MAX_CYLINDER_TERMS, "terms", steps=len(trivial_positions),
-    )
-    # Each trivial position contributes either "absent" (+) or one
-    # nontrivial value (-).
-    options = [[(None, 1)] + [(g, -1) for g in range(1, r)] for _ in trivial_positions]
-    terms = []
-    for choice in product(*options):
-        coeff = 1
-        entries = list(fixed)
-        for pos, (val, sign) in zip(trivial_positions, choice):
-            coeff *= sign
-            if val is not None:
-                entries.append((pos, val))
-        terms.append((Word(entries), coeff))
-    return ZChain(terms)
+    return zchain.projection_chain(group, spec.constraints.items())
 
 
 def coboundary_decompose(group: GroupRepData, f: ZChain) -> zchain.Decomposition:

@@ -1,11 +1,11 @@
-"""K-group reports for the lamplighter crossed product, and the trace.
+"""The trace on K_0 of the lamplighter crossed product, and pv_check, a
+sampled check of the kernel/cokernel bookkeeping in ``zchain``.
 
-Both sides of the assembly correspondence are free abelian on the same
-canonical-word basis (truncated here at a word length), with the analytic
-K_1 infinite cyclic on the shift unitary class and the boundary identity
-sending it to minus the class of the unit.  The trace of a basis word is
-the product of its entry dimensions over |F| to the support size, an exact
-rational; levelwise these traces generate exactly 1/|F|^n of the integers.
+The trace of a basis word is the product of its entry dimensions over |F|
+to the support size, an exact rational; levelwise these traces generate
+exactly 1/|F|^n of the integers.  The K_0 basis itself is
+``shiftwords.enumerate_canonical``; ``zchain.projection_chain`` joins it
+to the levelwise model of ``colimitk``.
 """
 
 from __future__ import annotations
@@ -13,57 +13,17 @@ from __future__ import annotations
 import random
 import sys
 from math import gcd
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 from . import zchain
 from .errors import LampkError, check_budget
 from .grouprep import GroupRepData
 from .sampling import random_chain, window_range
-from .shiftwords import EMPTY_WORD, Word, canonicalize, enumerate_canonical
+from .shiftwords import EMPTY_WORD, Word, canonicalize
 from .zchain import ZChain
 
 if TYPE_CHECKING:  # fractions loads decimal: only the traces import it
     from fractions import Fraction
-
-TOPOLOGICAL = "topological"
-ANALYTIC = "analytic"
-
-BOUNDARY_IDENTITY = "∂1[u] = -[1]"
-
-
-class KGroupReport(NamedTuple):
-    """One side of the correspondence, truncated at max_len."""
-
-    side: str
-    k0_basis: tuple[Word, ...]
-    k1_generator: str
-    k1_group: str = "Z"
-    boundary: str = BOUNDARY_IDENTITY
-
-
-class AssemblyCorrespondence(NamedTuple):
-    topological: KGroupReport
-    analytic: KGroupReport
-    pairs: tuple[tuple[Word, Word], ...]
-
-
-def k_groups(group: GroupRepData, max_len: int) -> AssemblyCorrespondence:
-    """Both K-group reports plus the basis bijection between them.
-
-    The bijection is the identity on the canonical-word index set: the
-    word maps to the class of the elementary projection tensor over its
-    support.  K_1 is infinite cyclic on both sides; we fix the convention
-    that the shift unitary class maps to the positive generator.
-    """
-    basis = tuple(enumerate_canonical(group, max_len))
-    topological = KGroupReport(
-        side=TOPOLOGICAL, k0_basis=basis, k1_generator="i_*(t)"
-    )
-    analytic = KGroupReport(side=ANALYTIC, k0_basis=basis, k1_generator="[u]")
-    pairs = tuple((w, w) for w in basis)
-    return AssemblyCorrespondence(
-        topological=topological, analytic=analytic, pairs=pairs
-    )
 
 
 def trace_of_word(group: GroupRepData, word: Word) -> Fraction:

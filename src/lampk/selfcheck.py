@@ -16,7 +16,9 @@ from itertools import product
 from typing import Callable
 
 from . import DEFAULT_SEED, intdet, zchain
-from .colimitk import claim_check
+from .colimitk import (
+    LevelVector, claim_check, complement_tuples, f_apply, level_tuples, tuple_dim,
+)
 from .fullshift import (
     PeriodicPoint,
     beta_eval,
@@ -27,7 +29,7 @@ from .fullshift import (
     shift_point,
 )
 from .grouprep import ISO, NOT_ISO, UNDECIDED, builtin, csalgebras_isomorphic_abelian_case
-from .lamplighterk import k_groups, pv_check, trace_of_chain, trace_image_level
+from .lamplighterk import pv_check, trace_of_chain, trace_image_level
 from .sampling import random_chain, window_range
 from .shiftwords import (
     EMPTY_WORD,
@@ -37,7 +39,7 @@ from .shiftwords import (
     enumerate_canonical,
     shift,
 )
-from .zchain import ZChain
+from .zchain import ZChain, projection_chain
 
 
 class CheckFailure(AssertionError):
@@ -158,37 +160,42 @@ def check_trace_image() -> str:
     return "generators 1/|F|^n for n <= 4; 500 coboundary traces vanish per group"
 
 
+def _phi(group, vec) -> ZChain:
+    """Phi on (level tuple, coefficient) pairs, each tuple pinned at 0, 1, ..."""
+    return sum((c * projection_chain(group, enumerate(t)) for t, c in vec), ZChain())
+
+
 def check_assembly_correspondence() -> str:
-    """Both K0 bases coincide element-wise; K1 bookkeeping present."""
-    for name in ("C2", "S3"):
+    """Phi(t), the projection chain of t pinned at 0, 1, ..., kills the
+    induction map, keeps traces, and is unitriangular on the complement
+    basis, whose leading words fall into exactly the canonical classes."""
+    for name, levels in (("C2", 5), ("S3", 4), ("S4", 3)):
         group = builtin(name)
-        for max_len in range(1, 6):
-            corr = k_groups(group, max_len)
-            expected = tuple(enumerate_canonical(group, max_len))
-            _require(
-                corr.topological.k0_basis == expected,
-                f"{name}: topological basis differs at max_len={max_len}",
-            )
-            _require(
-                corr.analytic.k0_basis == expected,
-                f"{name}: analytic basis differs at max_len={max_len}",
-            )
-            _require(
-                all(a == b for a, b in corr.pairs)
-                and len(corr.pairs) == len(expected),
-                f"{name}: bijection is not the identity at max_len={max_len}",
-            )
-            _require(
-                corr.topological.k1_group == "Z" == corr.analytic.k1_group,
-                f"{name}: K1 not reported infinite cyclic",
-            )
-            _require(
-                corr.analytic.k1_generator == "[u]"
-                and "[u]" in corr.analytic.boundary
-                and "-[1]" in corr.analytic.boundary,
-                f"{name}: boundary bookkeeping missing",
-            )
-    return "bases identical for max_len <= 5; K1 = Z with boundary identity"
+        leading = []
+        for n in range(1, levels + 1):
+            complement = set(complement_tuples(group, n))
+            for t in level_tuples(group, n):
+                image, word = projection_chain(group, enumerate(t)), Word(enumerate(t))
+                trace = trace_of_chain(group, image)
+                expected = Fraction(tuple_dim(group, t), group.order**n)
+                _require(trace == expected, f"{name}: Phi{t} has trace {trace}")
+                if n < levels:
+                    induced = f_apply(group, LevelVector.of(t), levels)
+                    _require(not _phi(group, induced.items()), f"{name}: Phi keeps f_apply{t}")
+                if t in complement:
+                    longer = all(len(w.entries) > len(word.entries) for w in image if w != word)
+                    _require(
+                        image.coeff(word) == 1 and longer,
+                        f"{name}: Phi{t} is not {word!r} plus longer words",
+                    )
+                    leading.append(word)
+        classes = {canonicalize(w)[0] for w in leading}
+        _require(
+            len(set(leading)) == len(leading) == group.num_irreps**levels
+            and classes == set(enumerate_canonical(group, levels)),
+            f"{name}: the leading words at N={levels} miss a word or a class",
+        )
+    return "Phi kills f_apply, keeps traces, is unitriangular: C2:5, S3:4, S4:3"
 
 
 def check_beta_freeness() -> str:
@@ -390,11 +397,13 @@ def run_criterion(criterion: Criterion) -> CriterionResult:
 
 
 def run_all(budget_s: float | None = None) -> list[CriterionResult]:
-    """Run criteria in order, skipping the rest once the budget is spent."""
+    """Run criteria in order; once budget_s seconds are spent, no further
+    criterion starts and each is reported skipped, so a budget of 0 starts
+    none."""
     results = []
     start = time.monotonic()
     for criterion in CRITERIA:
-        if budget_s is not None and time.monotonic() - start > budget_s:
+        if budget_s is not None and time.monotonic() - start >= budget_s:
             results.append(
                 CriterionResult(
                     cid=criterion.cid,

@@ -13,9 +13,12 @@ identity holds term-exactly, not just up to equivalence.
 
 from __future__ import annotations
 
+from itertools import product
+from math import prod
 from typing import NamedTuple
 
-from .errors import check_budget
+from .errors import LampkError, check_budget
+from .grouprep import GroupRepData
 from .shiftwords import Word, canonicalize, shift
 from .sparse import SparseIntVector
 
@@ -90,3 +93,42 @@ def coinvariant_class(chain: ZChain) -> ZChain:
     maps straight to its orbit representative, with no witness built.
     """
     return ZChain((canonicalize(word)[0], coeff) for word, coeff in chain.items())
+
+
+# Terms one projection expansion may build: C2 with 16 trivial pins
+# (65 536 terms) expands and prints in well under a second.
+MAX_CYLINDER_TERMS = 1 << 16
+
+
+def projection_chain(group: GroupRepData, pins) -> ZChain:
+    """Word chain of the projection pinning each position to an irrep.
+
+    A pin to sigma != 0 is the word letter sigma, a minimal projection of
+    the M_{d_sigma} block of C*F.  A word leaves 0 unconstrained (the unit),
+    and [1] = sum_sigma d_sigma [p_sigma] in K_0(C*F), so a trivial pin
+    p_0 = [1] - sum_{sigma != 0} d_sigma [p_sigma] expands with weight 1
+    (position left out) or -d_sigma (letter sigma).  Pinning a level tuple
+    t at 0, 1, ... gives Phi(t) = word(t) + words with more entries, so Phi
+    is unitriangular on the complement basis of ``colimitk``, and it kills
+    the induction map, as the appended d_sigma [p_sigma] sum to [1].  More
+    than MAX_CYLINDER_TERMS terms (r^k for k trivial pins) raise BudgetError
+    before any is built.
+    """
+    r = group.num_irreps
+    pins = list(pins)
+    for _, idx in pins:
+        if idx >= r:
+            raise LampkError(f"constraint value {idx} out of range for {group.name}")
+    check_budget(
+        f"expanding the trivial pins of a {group.name} cylinder",
+        lambda k: r**k, MAX_CYLINDER_TERMS, "terms", steps=sum(i == 0 for _, i in pins),
+    )
+    choices = [
+        [((p, idx), 1)] if idx
+        else [(None, 1)] + [((p, g), -d) for g, d in enumerate(group.dims) if g]
+        for p, idx in pins
+    ]
+    return ZChain(
+        (Word([e for e, _ in choice if e]), prod([w for _, w in choice]))
+        for choice in product(*choices)
+    )

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from lampk import jsonio
-from lampk.cli import main
+from lampk.cli import MAX_CHAIN_FILE_CHARS, main
 from lampk.grouprep import builtin
 from lampk.shiftwords import Word
 from lampk.zchain import ZChain, alpha
@@ -475,6 +475,37 @@ def test_missing_fn_file_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("source", ["/dev/zero", "sparse file"])
+def test_oversized_fn_file_ends_in_the_contract_quickly(capsys, tmp_path, source):
+    # a --fn file is read to one character past the limit and no further
+    if source == "/dev/zero":
+        if not os.path.exists(source):
+            pytest.skip("no /dev/zero on this platform")
+        path = source
+    else:
+        path = tmp_path / "big.json"
+        with open(path, "wb") as file:
+            file.truncate(MAX_CHAIN_FILE_CHARS + 1)
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, "decompose", "--group", "C2", "--fn", str(path))
+    assert time.monotonic() - start < 5
+    assert (code, out) == (1, "")
+    assert "Traceback" not in err
+    error = json.loads(err)["error"]
+    assert error["type"] == "BudgetError"
+    assert f"more than {MAX_CHAIN_FILE_CHARS} characters" in error["message"]
+
+
+def test_fn_file_at_the_limit_is_read(tmp_path):
+    # NUL characters up to the limit pass the guard and fail as JSON
+    path = tmp_path / "limit.json"
+    with open(path, "wb") as file:
+        file.truncate(MAX_CHAIN_FILE_CHARS)
+    with pytest.raises(SystemExit) as exc:
+        main(["decompose", "--group", "C2", "--fn", str(path)])
+    assert exc.value.code == 2
+
+
 def test_outputs_reparse_and_carry_no_floats(capsys):
     commands = [
         ["fingerprint", "--group", "S4"],
@@ -501,14 +532,14 @@ def test_deterministic_output(capsys):
 
 
 def test_selfcheck_budget_exhaustion_is_distinct(capsys):
-    # A tiny budget runs the first criterion and skips the rest: partial
-    # report, exit code distinct from both success and failure.
+    # A budget of 0 is spent before the first criterion, so none starts:
+    # every criterion is reported skipped, with an exit code distinct from
+    # both success and failure.
     code, out, err = run_cli(capsys, "selfcheck", "--budget", "0")
     assert code == 3
     data = json.loads(out)
     assert data["status"] == "incomplete"
-    statuses = {c["status"] for c in data["checks"]}
-    assert "skipped" in statuses and "fail" not in statuses
+    assert [c["status"] for c in data["checks"]] == ["skipped"] * 9
     assert data["seed"] == 42
     # stdout carries no timings, so repeated runs are byte-identical
     code2, out2, _ = run_cli(capsys, "selfcheck", "--budget", "0")

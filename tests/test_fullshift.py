@@ -10,7 +10,6 @@ from lampk import fullshift, jsonio
 from lampk.cli import main
 from lampk.errors import BudgetError, LampkError, NonAbelianGroupError
 from lampk.fullshift import (
-    MAX_CYLINDER_TERMS,
     MAX_SCAN_EVALUATIONS,
     MAX_SCAN_PATTERNS,
     CylinderSpec,
@@ -28,7 +27,7 @@ from lampk.fullshift import (
 from lampk.grouprep import builtin
 from lampk.sampling import random_chain, random_word
 from lampk.shiftwords import EMPTY_WORD, Word
-from lampk.zchain import ZChain, alpha, coinvariant_class
+from lampk.zchain import MAX_CYLINDER_TERMS, ZChain, alpha, coinvariant_class
 
 C2 = builtin("C2")
 C3 = builtin("C3")

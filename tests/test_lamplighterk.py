@@ -10,15 +10,13 @@ from hypothesis import strategies as st
 from lampk.errors import LampkError
 from lampk.grouprep import _CATALOG, builtin
 from lampk.lamplighterk import (
-    BOUNDARY_IDENTITY,
-    k_groups,
     pv_check,
     trace_image_level,
     trace_of_chain,
     trace_of_word,
 )
 from lampk.sampling import random_chain, window_range
-from lampk.shiftwords import EMPTY_WORD, Word, enumerate_canonical, shift
+from lampk.shiftwords import EMPTY_WORD, Word
 from lampk.zchain import ZChain, alpha, coinvariant_class
 
 words_st = st.builds(
@@ -29,42 +27,6 @@ chains_st = st.builds(
     ZChain,
     st.lists(st.tuples(words_st, st.integers(-9, 9)), max_size=4),
 )
-
-
-def test_k_groups_bases():
-    c2 = builtin("C2")
-    corr = k_groups(c2, 3)
-    assert len(corr.topological.k0_basis) == 5
-    assert corr.topological.k0_basis == corr.analytic.k0_basis
-    assert corr.pairs == tuple((w, w) for w in corr.topological.k0_basis)
-    # max_len 1: the empty word plus the single letters
-    s3 = builtin("S3")
-    corr1 = k_groups(s3, 1)
-    assert corr1.analytic.k0_basis == (EMPTY_WORD, Word({0: 1}), Word({0: 2}))
-
-
-def test_k1_reports():
-    corr = k_groups(builtin("S3"), 2)
-    assert corr.topological.k1_group == "Z"
-    assert corr.analytic.k1_group == "Z"
-    assert corr.topological.k1_generator == "i_*(t)"
-    assert corr.analytic.k1_generator == "[u]"
-    assert corr.analytic.boundary == BOUNDARY_IDENTITY == "∂1[u] = -[1]"
-
-
-def test_k_group_reports_are_named_tuples():
-    topological, analytic, pairs = k_groups(builtin("C2"), 2)
-    basis = analytic.k0_basis
-    assert topological == ("topological", basis, "i_*(t)", "Z", BOUNDARY_IDENTITY)
-    assert pairs == tuple(zip(basis, basis))
-
-
-def test_bijection_respects_classes():
-    # identity pairs: same canonical class and same orbit under shifts
-    corr = k_groups(builtin("C2"), 4)
-    for a, b in corr.pairs:
-        assert coinvariant_class(ZChain.of(a)) == coinvariant_class(ZChain.of(b))
-        assert shift(a, 3) == shift(b, 3)
 
 
 def test_trace_examples():
@@ -177,11 +139,3 @@ def test_pv_check_passes_and_is_deterministic():
     assert r1.counterexample_count() == 0
     assert (r1.group, r1.samples, r1.window, r1.seed) == ("C2", 200, 3, 11)
     assert pv_check(builtin("S3"), samples=100, window=2, seed=5).passed
-
-
-def test_k0_basis_matches_enumeration():
-    for name in ("C2", "S3"):
-        g = builtin(name)
-        for max_len in (1, 3, 5):
-            corr = k_groups(g, max_len)
-            assert list(corr.analytic.k0_basis) == enumerate_canonical(g, max_len)

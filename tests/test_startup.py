@@ -64,6 +64,17 @@ def test_claim_check_loads_its_own_modules_only():
     assert "lampk.selfcheck" not in loaded
 
 
+def test_k1_loads_no_word_or_trace_code():
+    loaded = _modules_after(_main("k1", "--group", "C2"))
+    assert loaded.isdisjoint({"lampk.lamplighterk", "lampk.shiftwords", "random", "fractions"})
+
+
+def test_k0_basis_loads_no_trace_or_sampling_code():
+    loaded = _modules_after(_main("k0-basis", "--group", "S3", "--max-len", "2"))
+    assert "lampk.shiftwords" in loaded
+    assert loaded.isdisjoint({"lampk.lamplighterk", "random", "fractions"})
+
+
 def test_bare_import_resolves_submodules_on_use():
     loaded = _modules_after("import lampk\nassert lampk.colimitk.claim_check")
     assert "lampk.colimitk" in loaded

@@ -1,16 +1,23 @@
+from fractions import Fraction
 from itertools import product
 
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from lampk import intdet
-from lampk.shiftwords import EMPTY_WORD, Word, canonicalize, shift
+from lampk.colimitk import LevelVector, complement_tuples, f_apply, level_tuples, tuple_dim
+from lampk.errors import GroupDataError
+from lampk.fullshift import CylinderSpec, cylinder_to_chain
+from lampk.grouprep import _CATALOG, builtin, validate
+from lampk.lamplighterk import trace_of_chain
+from lampk.shiftwords import EMPTY_WORD, Word, canonicalize, enumerate_canonical, shift
 from lampk.zchain import (
     ZChain,
     alpha,
     coinvariant_class,
     decompose,
     is_invariant,
+    projection_chain,
 )
 
 words_st = st.builds(
@@ -207,3 +214,95 @@ def test_coinvariant_rank_matches_snf_cokernel():
         free_rank = len(codomain) - rk
         assert free_rank == len(reps_in_codomain)
         assert all(d == 1 for d in diag if d), "unexpected torsion in the cokernel"
+
+
+# --- the projection expansion Phi -------------------------------------------
+
+
+@st.composite
+def groups_st(draw):
+    """A catalog group, or an inline dims vector that passes validation."""
+    if draw(st.booleans()):
+        return builtin(draw(st.sampled_from(["C2", "C3", "C4", *_CATALOG])))
+    dims = [1, *draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))]
+    try:
+        return validate("inline", sum(d * d for d in dims), dims)
+    except GroupDataError:
+        assume(False)
+
+
+@st.composite
+def group_and_tuple_st(draw):
+    group = draw(groups_st())
+    t = draw(st.lists(st.integers(0, group.num_irreps - 1), min_size=1, max_size=3))
+    return group, tuple(t)
+
+
+def _phi(group, t):
+    return projection_chain(group, enumerate(t))
+
+
+@given(group_and_tuple_st())
+def test_phi_kills_the_induction_map(case):
+    group, t = case
+    image = f_apply(group, LevelVector.of(t), len(t) + 1)
+    assert sum((c * _phi(group, s) for s, c in image.items()), ZChain()) == ZChain()
+
+
+@given(group_and_tuple_st())
+def test_phi_preserves_traces(case):
+    group, t = case
+    expected = Fraction(tuple_dim(group, t), group.order ** len(t))
+    assert trace_of_chain(group, _phi(group, t)) == expected
+
+
+@given(group_and_tuple_st())
+def test_phi_is_unitriangular(case):
+    # word(t) with coefficient 1, plus only words with more entries
+    group, t = case
+    image = _phi(group, t)
+    word = Word(enumerate(t))
+    assert image.coeff(word) == 1
+    assert all(len(w.entries) > len(word.entries) for w in image if w != word)
+
+
+def test_phi_is_unimodular_on_the_complement_basis():
+    # The complement basis at truncation N maps onto the r^N words in
+    # [0, N), with determinant +-1, and their classes are the canonical words.
+    for name, levels in (("C2", 4), ("C3", 3), ("S3", 3), ("klein4", 2), ("S4", 2)):
+        group = builtin(name)
+        basis = [t for n in range(1, levels + 1) for t in complement_tuples(group, n)]
+        words = [Word(enumerate(t)) for t in basis]
+        assert len(set(words)) == len(words) == group.num_irreps**levels
+        row = {w: i for i, w in enumerate(words)}
+        columns = [[(row[w], c) for w, c in _phi(group, t).items()] for t in basis]
+        assert intdet.det(columns) in (1, -1)
+        classes = {canonicalize(w)[0] for w in words}
+        assert classes == set(enumerate_canonical(group, levels))
+
+
+def _cylinder_by_signs(group, constraints):
+    """The abelian cylinder expansion as first written: each trivial pin is
+    (absent) minus each nontrivial value, coefficients +-1."""
+    fixed = [(p, i) for p, i in constraints.items() if i != 0]
+    trivial = [p for p, i in constraints.items() if i == 0]
+    options = [[(None, 1)] + [(g, -1) for g in range(1, group.num_irreps)] for _ in trivial]
+    terms = []
+    for choice in product(*options):
+        coeff, entries = 1, list(fixed)
+        for pos, (val, sign) in zip(trivial, choice):
+            coeff *= sign
+            if val is not None:
+                entries.append((pos, val))
+        terms.append((Word(entries), coeff))
+    return ZChain(terms)
+
+
+def test_phi_is_the_cylinder_expansion_on_abelian_groups():
+    for name in ("C2", "C3", "klein4", "C5"):
+        group = builtin(name)
+        for n in range(1, 5):
+            for t in level_tuples(group, n):
+                expected = _cylinder_by_signs(group, dict(enumerate(t)))
+                assert _phi(group, t) == expected, (name, t)
+                assert cylinder_to_chain(group, CylinderSpec(dict(enumerate(t)))) == expected

@@ -24,13 +24,11 @@ _EXPORTS = {
     "BudgetError": "errors",
     "CatalogError": "errors",
     "ClaimCertificate": "colimitk",
-    "CylinderSpec": "fullshift",
     "GroupDataError": "errors",
     "GroupRepData": "grouprep",
     "LampkError": "errors",
     "LevelVector": "colimitk",
     "NonAbelianGroupError": "errors",
-    "PeriodicPoint": "fullshift",
     "TruncationError": "errors",
     "Word": "shiftwords",
     "ZChain": "zchain",
@@ -52,13 +50,10 @@ _EXPORTS = {
     "periodic_orbit_sum": "fullshift",
     "projection_chain": "zchain",
     "pv_check": "lamplighterk",
-    "r_map": "colimitk",
-    "s_map": "colimitk",
     "shift": "shiftwords",
     "trace_of_chain": "lamplighterk",
     "trace_of_word": "lamplighterk",
     "trace_image_level": "lamplighterk",
-    "validate": "grouprep",
 }
 
 __all__ = list(_EXPORTS)

@@ -259,7 +259,7 @@ def cmd_livsic(args) -> int:
             "periodic_sums_vanish": report.periodic_sums_vanish,
             "max_period_checked": report.max_period_checked,
             "violating_orbit": (
-                list(report.violating_orbit.pattern)
+                list(report.violating_orbit)
                 if report.violating_orbit is not None
                 else None
             ),
@@ -271,14 +271,13 @@ def cmd_livsic(args) -> int:
 
 def cmd_cylinder_expand(args) -> int:
     from . import jsonio
-    from .fullshift import CylinderSpec, cylinder_to_chain
+    from .fullshift import cylinder_to_chain
 
     group = _parse_group(args.group)
     raw = _parse_json_arg("--spec", args.spec)
     if not isinstance(raw, dict):
         raise UsageError("--spec: expected an object of position -> value")
-    spec = CylinderSpec(raw)
-    chain = cylinder_to_chain(group, spec)
+    chain = cylinder_to_chain(group, jsonio.pins_from_json(raw))
     _emit({"group": group.name, "chain": jsonio.chain_to_json(chain)})
     return 0
 

@@ -48,20 +48,6 @@ class LevelVector(SparseIntVector):
         return max((len(t) for t in self._coeffs), default=0)
 
 
-def s_map(t: IrrepTuple) -> IrrepTuple:
-    """Embed level n into level n+1 by appending the trivial index."""
-    if len(t) < 1:
-        raise LampkError("level tuples have length >= 1")
-    return (*t, 0)
-
-
-def r_map(t: IrrepTuple) -> IrrepTuple:
-    """Project level n+1 onto level n (drop the last coordinate)."""
-    if len(t) < 2:
-        raise LampkError("r_map needs a tuple of length >= 2")
-    return t[:-1]
-
-
 def tuple_dim(group: GroupRepData, t: IrrepTuple) -> int:
     """Dimension of the product representation indexed by the tuple."""
     d = 1

@@ -3,9 +3,10 @@ abelian alphabet.
 
 For abelian F the chain picture and the function picture coincide: a chain
 maps to the sum of indicator functions of its words' sparse cylinders (a
-word constrains only its nontrivial positions).  Everything here is exact
-evaluation of such functions at finitely described points (periodic
-points, or eventually-trivial points given by a word), together with the
+word constrains only its nontrivial positions).  A periodic point is its
+pattern, a tuple x whose coordinate at position i is x[i % len(x)], and a
+cylinder is a set of (position, value) pins.  Everything here is exact
+evaluation of such functions at periodic points, together with the
 coboundary splitting and the periodic-orbit test, which scans one orbit
 per Lyndon word up to a horizon proven to expose every non-coboundary.
 
@@ -16,14 +17,12 @@ backwards: eval(alpha(c), x) == eval(c, shift(x, -1)).
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping
-from typing import NamedTuple, Union
+from collections.abc import Iterator
+from typing import NamedTuple
 
 from . import zchain
 from .errors import LampkError, NonAbelianGroupError, check_budget
 from .grouprep import GroupRepData
-from .jsonio import exact_int
-from .shiftwords import Word, shift
 from .zchain import ZChain
 
 
@@ -35,103 +34,46 @@ def require_abelian(group: GroupRepData) -> None:
         )
 
 
-class PeriodicPoint:
-    """A point of the full shift repeating a finite pattern.
-
-    pattern[i] is the coordinate at position i; the period is the pattern
-    length and need not be minimal.
-    """
-
-    __slots__ = ("pattern",)
-
-    def __init__(self, pattern):
-        pattern = tuple(int(v) for v in pattern)
-        if not pattern:
-            raise LampkError("a periodic point needs a nonempty pattern")
-        if any(v < 0 for v in pattern):
-            raise LampkError("pattern values are irrep indices, >= 0")
-        self.pattern = pattern
-
-    @property
-    def period(self) -> int:
-        return len(self.pattern)
-
-    def value_at(self, pos: int) -> int:
-        return self.pattern[pos % len(self.pattern)]
-
-    def shifted(self, k: int) -> "PeriodicPoint":
-        """The translated point: coordinate at i becomes the old one at i - k."""
-        p = len(self.pattern)
-        return PeriodicPoint(tuple(self.pattern[(i - k) % p] for i in range(p)))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PeriodicPoint):
-            return NotImplemented
-        return self.pattern == other.pattern
-
-    def __hash__(self) -> int:
-        return hash(self.pattern)
-
-    def __repr__(self) -> str:
-        return f"PeriodicPoint({self.pattern})"
+def _pattern(x) -> tuple[int, ...]:
+    """The periodic point x as a pattern: its coordinate at i is
+    x[i % len(x)], and the period len(x) need not be minimal."""
+    x = tuple(x)
+    if not x:
+        raise LampkError("a periodic point needs a nonempty pattern")
+    if any(v < 0 for v in x):
+        raise LampkError("pattern values are irrep indices, >= 0")
+    return x
 
 
-# Eventually-trivial points are just words read as points: value_at gives 0
-# off the support.
-Point = Union[PeriodicPoint, Word]
-
-
-def shift_point(x: Point, k: int) -> Point:
-    return x.shifted(k) if isinstance(x, PeriodicPoint) else shift(x, k)
-
-
-def beta_eval(group: GroupRepData, chain: ZChain, x: Point) -> int:
-    """Value at x of the function the chain denotes.
+def beta_eval(group: GroupRepData, chain: ZChain, x: tuple[int, ...]) -> int:
+    """Value at the periodic point x (a pattern) of the function the chain
+    denotes.
 
     A word's indicator contributes 1 exactly when x matches every stored
     (nontrivial) entry; coefficients add up Z-linearly.
     """
     require_abelian(group)
+    x = _pattern(x)
+    n = len(x)
     total = 0
     for word, coeff in chain.items():
-        if all(x.value_at(p) == idx for p, idx in word.entries):
+        if all(x[p % n] == idx for p, idx in word.entries):
             total += coeff
     return total
 
 
-class CylinderSpec:
-    """A full cylinder: finitely many positions pinned to exact values.
+def cylinder_to_chain(group: GroupRepData, pins) -> ZChain:
+    """The unique chain whose function is the indicator of the cylinder
+    pinning each given position to its value.
 
-    Unlike a word, a constraint value of *0 is meaningful*: it pins the
-    coordinate to the trivial index, whereas an absent position is
-    unconstrained.
-    """
-
-    __slots__ = ("constraints",)
-
-    def __init__(self, constraints: Mapping[int, int] | None = None):
-        cleaned = {}
-        for pos, idx in (constraints or {}).items():
-            pos = exact_int(pos, "cylinder position")
-            idx = exact_int(idx, "cylinder value")
-            if idx < 0:
-                raise LampkError(f"constraint value must be >= 0, got {idx}")
-            cleaned[pos] = idx
-        self.constraints = dict(sorted(cleaned.items()))
-
-    def __repr__(self) -> str:
-        return f"CylinderSpec({self.constraints})"
-
-
-def cylinder_to_chain(group: GroupRepData, spec: CylinderSpec) -> ZChain:
-    """The unique chain whose function is the cylinder's indicator.
-
-    It is the projection chain of the cylinder's pins: for abelian F every
+    Unlike in a word, a pin to 0 is meaningful: it fixes the coordinate to
+    the trivial index, whereas a position left out is unconstrained.  The
+    chain is the projection chain of the pins: for abelian F every
     d_sigma is 1, so a trivial pin expands into (unconstrained) minus the
     sum over the nontrivial values at that position, with coefficients +-1.
     """
     require_abelian(group)
-    return zchain.projection_chain(group, spec.constraints.items())
+    return zchain.projection_chain(group, pins)
 
 
 def coboundary_decompose(group: GroupRepData, f: ZChain) -> zchain.Decomposition:
@@ -150,15 +92,16 @@ def coboundary_decompose(group: GroupRepData, f: ZChain) -> zchain.Decomposition
     return zchain.Decomposition(witness=-zchain.alpha(m), canonical=canonical)
 
 
-def periodic_orbit_sum(group: GroupRepData, f: ZChain, x: PeriodicPoint) -> int:
-    """Sum of the function over one full period of the orbit of x.
+def periodic_orbit_sum(group: GroupRepData, f: ZChain, x: tuple[int, ...]) -> int:
+    """Sum of the function over one full period of the orbit of the
+    periodic point x (a pattern).
 
-    The k-th term is beta_eval at x.shifted(k), whose coordinate at p is
-    pattern[(p - k) % n]; it is read off the pattern directly, with no
-    shifted point built.
+    The k-th term is beta_eval at x shifted by k, whose coordinate at p is
+    x[(p - k) % n]; it is read off the pattern directly, with no shifted
+    pattern built.
     """
     require_abelian(group)
-    pattern = x.pattern
+    pattern = _pattern(x)
     n = len(pattern)
     total = 0
     for word, coeff in f.items():
@@ -172,8 +115,10 @@ def periodic_orbit_sum(group: GroupRepData, f: ZChain, x: PeriodicPoint) -> int:
     return total
 
 
-def orbit_representatives(group: GroupRepData, max_period: int) -> Iterator[PeriodicPoint]:
-    """One point per shift orbit of periodic points, periods 1..max_period.
+def orbit_representatives(
+    group: GroupRepData, max_period: int
+) -> Iterator[tuple[int, ...]]:
+    """One pattern per shift orbit of periodic points, periods 1..max_period.
 
     An orbit of least period n is read off its least rotation, a Lyndon
     word of length n, and every such word stands for one orbit.  Duval's
@@ -188,7 +133,7 @@ def orbit_representatives(group: GroupRepData, max_period: int) -> Iterator[Peri
         while word:
             word[-1] += 1
             if len(word) == n:
-                yield PeriodicPoint(word)
+                yield tuple(word)
             m = len(word)
             while len(word) < n:
                 word.append(word[-m])
@@ -233,7 +178,7 @@ class LivsicReport(NamedTuple):
     is_coboundary_exact: bool
     periodic_sums_vanish: bool
     max_period_checked: int
-    violating_orbit: PeriodicPoint | None = None
+    violating_orbit: tuple[int, ...] | None = None
     violating_sum: int | None = None
 
     @property

@@ -132,11 +132,6 @@ def builtin(name: str) -> GroupRepData:
     raise CatalogError(f"unknown group {name!r}; available: {available}")
 
 
-def validate(name: str, order: int, dims) -> GroupRepData:
-    """Build GroupRepData from raw user data, checking every invariant."""
-    return GroupRepData(name=name, order=int(order), dims=tuple(dims))
-
-
 def fingerprint(group: GroupRepData) -> tuple[int, tuple[int, ...], int]:
     """(|F|, sorted irrep dims, |F^ab|); invariant under irrep reordering."""
     return (group.order, tuple(sorted(group.dims)), group.abelian_order)

@@ -1,9 +1,11 @@
 """JSON wire formats.
 
 Words carry string integer keys ({"entries": {"0": 1}}); chains are arrays
-of {"word", "coeff"} sorted in word order with the zero chain as []; traces
-are {"num", "den"}; group data round-trips without the derived
-abelian_order field.  Every emitter here must re-parse to the same value.
+of {"word", "coeff"} sorted in word order with the zero chain as []; a
+cylinder spec maps string positions to values ({"0": 0, "1": 1}); group
+data is {"name", "order", "dims"}; traces are emitted as {"num", "den"}.
+Chains and words re-parse to the same value, and every JSON integer is
+read through exact_int.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from .grouprep import GroupRepData
 from .shiftwords import Word
 from .zchain import ZChain
 
-if TYPE_CHECKING:  # fractions loads decimal: only fraction_from_json imports it
+if TYPE_CHECKING:  # fractions loads decimal, and only an annotation names it
     from fractions import Fraction
 
 
@@ -28,10 +30,6 @@ def exact_int(value, what: str) -> int:
         return int(value)
     except (TypeError, ValueError) as exc:
         raise LampkError(f"{what} must be an integer, got {value!r}") from exc
-
-
-def group_to_json(group: GroupRepData) -> dict:
-    return {"name": group.name, "order": group.order, "dims": list(group.dims)}
 
 
 def group_from_json(data: dict) -> GroupRepData:
@@ -62,6 +60,24 @@ def word_from_json(data: dict) -> Word:
     )
 
 
+def pins_from_json(data: dict) -> list[tuple[int, int]]:
+    """A cylinder spec's (position, value) pins, sorted by position.
+
+    A value of 0 pins the trivial index, so it is kept; conflicting pins
+    would define an empty cylinder, so a position given twice is an error.
+    """
+    pins = {}
+    for pos, idx in data.items():
+        pos = exact_int(pos, "cylinder position")
+        idx = exact_int(idx, "cylinder value")
+        if idx < 0:
+            raise LampkError(f"constraint value must be >= 0, got {idx}")
+        if pos in pins:
+            raise LampkError(f"duplicate position {pos} in cylinder spec")
+        pins[pos] = idx
+    return sorted(pins.items())
+
+
 def chain_to_json(chain: ZChain) -> list:
     return [
         {"word": word_to_json(word), "coeff": coeff} for word, coeff in chain.terms()
@@ -82,9 +98,3 @@ def chain_from_json(data: list) -> ZChain:
 
 def fraction_to_json(value: Fraction) -> dict:
     return {"num": value.numerator, "den": value.denominator}
-
-
-def fraction_from_json(data: dict) -> Fraction:
-    from fractions import Fraction
-
-    return Fraction(int(data["num"]), int(data["den"]))

@@ -40,12 +40,6 @@ class Word:
     def entries(self) -> tuple[tuple[int, int], ...]:
         return self._items
 
-    def value_at(self, pos: int) -> int:
-        for p, idx in self._items:
-            if p == pos:
-                return idx
-        return 0
-
     @property
     def support(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self._items)

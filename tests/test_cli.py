@@ -55,13 +55,12 @@ def test_chain_round_trip():
 
 
 def test_group_round_trip():
-    g = builtin("S4")
-    assert jsonio.group_from_json(jsonio.group_to_json(g)) == g
+    data = {"name": "S4", "order": 24, "dims": [1, 1, 2, 3, 3]}
+    assert jsonio.group_from_json(data) == builtin("S4")
 
 
 def test_fraction_round_trip():
-    q = Fraction(-3, 8)
-    assert jsonio.fraction_from_json(jsonio.fraction_to_json(q)) == q
+    assert jsonio.fraction_to_json(Fraction(-3, 8)) == {"num": -3, "den": 8}
 
 
 # --- commands ----------------------------------------------------------------
@@ -441,6 +440,20 @@ def test_cylinder_spec_non_integer_key_is_domain_error(capsys):
     assert code == 1
     assert out == ""
     assert "error" in json.loads(err)
+
+
+@pytest.mark.parametrize("spec", ['{"0":0,"00":1}', '{"0":1,"-0":0}'])
+def test_cylinder_spec_duplicate_position_is_domain_error(capsys, spec):
+    # both keys denote position 0: conflicting pins define an empty
+    # cylinder, and the last one must not silently win
+    code, out, err = run_cli(
+        capsys, "cylinder-expand", "--group", "C2", "--spec", spec
+    )
+    assert code == 1
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "LampkError"
+    assert error["message"] == "duplicate position 0 in cylinder spec"
 
 
 def test_nonabelian_fullshift_is_domain_error(capsys):

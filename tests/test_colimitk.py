@@ -1,8 +1,6 @@
 from itertools import product
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from lampk.colimitk import (
     MAX_CERTIFICATE_COLUMNS,
@@ -12,15 +10,11 @@ from lampk.colimitk import (
     complement_tuples,
     f_apply,
     level_tuples,
-    r_map,
-    s_map,
     total_size,
     tuple_dim,
 )
 from lampk.errors import BudgetError, TruncationError
 from lampk.grouprep import builtin
-
-tuples_st = st.lists(st.integers(0, 2), min_size=1, max_size=4).map(tuple)
 
 
 def dense_rows(columns):
@@ -33,25 +27,15 @@ def dense_rows(columns):
     return rows
 
 
-def test_s_and_r_maps():
-    assert s_map((0,)) == (0, 0)
-    assert s_map((2, 1)) == (2, 1, 0)
-    assert r_map((2, 1, 0)) == (2, 1)
-
-
-@given(tuples_st)
-def test_r_after_s_is_identity(t):
-    assert r_map(s_map(t)) == t
-
-
 def test_tuple_dim():
     s3 = builtin("S3")
     assert tuple_dim(s3, (0,)) == 1
     assert tuple_dim(s3, (2, 2)) == 4
     assert tuple_dim(s3, (2, 1, 0)) == 2
-    # the dimension ratio along r_map is the last coordinate's dimension
+    # the dimension ratio along dropping the last coordinate is that
+    # coordinate's dimension
     for t in product(range(3), repeat=3):
-        assert tuple_dim(s3, t) == tuple_dim(s3, r_map(t)) * s3.dims[t[-1]]
+        assert tuple_dim(s3, t) == tuple_dim(s3, t[:-1]) * s3.dims[t[-1]]
 
 
 def test_f_apply_c2_example():
@@ -96,7 +80,7 @@ def test_f_apply_matches_pointwise_formula():
         for t in level_tuples(s3, n):
             expected = phi.coeff(t) if n <= 2 else 0
             if n >= 2:
-                expected -= phi.coeff(r_map(t)) * s3.dims[t[-1]]
+                expected -= phi.coeff(t[:-1]) * s3.dims[t[-1]]
             assert out.coeff(t) == expected, t
 
 

@@ -12,9 +12,7 @@ from lampk.errors import BudgetError, LampkError, NonAbelianGroupError
 from lampk.fullshift import (
     MAX_SCAN_EVALUATIONS,
     MAX_SCAN_PATTERNS,
-    CylinderSpec,
     LivsicReport,
-    PeriodicPoint,
     beta_eval,
     coboundary_decompose,
     cylinder_to_chain,
@@ -22,7 +20,6 @@ from lampk.fullshift import (
     livsic_check,
     orbit_representatives,
     periodic_orbit_sum,
-    shift_point,
 )
 from lampk.grouprep import builtin
 from lampk.sampling import random_chain, random_word
@@ -41,35 +38,52 @@ chains_st = st.builds(
     ZChain,
     st.lists(st.tuples(words_st, st.integers(-5, 5)), max_size=4),
 )
-points_st = st.lists(st.integers(0, 2), min_size=1, max_size=5).map(PeriodicPoint)
+points_st = st.lists(st.integers(0, 2), min_size=1, max_size=5).map(tuple)
+
+
+def shifted(x, k):
+    """The periodic point x translated by k: the coordinate at i becomes the
+    old one at i - k."""
+    k %= len(x)
+    return x[len(x) - k:] + x[:len(x) - k]
 
 
 def test_periodic_point_basics():
-    x = PeriodicPoint((1, 0, 1))
-    assert x.period == 3
-    assert [x.value_at(i) for i in range(-3, 6)] == [1, 0, 1] * 3
-    assert x.shifted(1).pattern == (1, 1, 0)
-    assert x.shifted(3) == x
-    assert PeriodicPoint([1, 0, 1]) == x and hash(PeriodicPoint([1, 0, 1])) == hash(x)
-    with pytest.raises(LampkError):
-        PeriodicPoint(())
+    x = (1, 0, 1)
+    # a pattern is read periodically, at negative positions too
+    at = [beta_eval(C2, ZChain.of(Word({i: 1})), x) for i in range(-3, 6)]
+    assert at == [1, 0, 1] * 3
+    assert shifted(x, 1) == (1, 1, 0) and shifted(x, -1) == x[1:] + x[:1]
+    assert shifted(x, 3) == x
+    # a list is the same point as the tuple
+    f = ZChain.of(Word({0: 1, 1: 1})) + ZChain.of(Word({-1: 1}), 2)
+    assert beta_eval(C2, f, [1, 0, 1]) == beta_eval(C2, f, x)
+    assert periodic_orbit_sum(C2, f, [1, 0, 1]) == periodic_orbit_sum(C2, f, x)
+
+
+@pytest.mark.parametrize("pattern", [(), [], (0, -1), (1, 2, -3)])
+def test_malformed_patterns_are_refused(pattern):
+    for evaluate in (beta_eval, periodic_orbit_sum):
+        with pytest.raises(LampkError):
+            evaluate(C3, ZChain.of(EMPTY_WORD), pattern)
 
 
 def test_beta_eval_examples():
-    assert beta_eval(C2, ZChain.of(EMPTY_WORD), PeriodicPoint((0, 1))) == 1
-    assert beta_eval(C2, ZChain.of(Word({0: 1})), PeriodicPoint((1,))) == 1
-    assert beta_eval(C2, ZChain.of(Word({0: 1, 1: 1})), PeriodicPoint((1, 0))) == 0
-    # eventually-trivial points are words
-    assert beta_eval(C2, ZChain.of(Word({2: 1})), Word({2: 1, 5: 1})) == 1
-    assert beta_eval(C2, ZChain.of(Word({2: 1})), Word({5: 1})) == 0
+    assert beta_eval(C2, ZChain.of(EMPTY_WORD), (0, 1)) == 1
+    assert beta_eval(C2, ZChain.of(Word({0: 1})), (1,)) == 1
+    assert beta_eval(C2, ZChain.of(Word({0: 1, 1: 1})), (1, 0)) == 0
+    # the eventually-trivial points {2: 1, 5: 1} and {5: 1}, as patterns of
+    # period 6 that hold the window 0..5
+    assert beta_eval(C2, ZChain.of(Word({2: 1})), (0, 0, 1, 0, 0, 1)) == 1
+    assert beta_eval(C2, ZChain.of(Word({2: 1})), (0, 0, 0, 0, 0, 1)) == 0
 
 
 def test_beta_requires_abelian():
     s3 = builtin("S3")
     with pytest.raises(NonAbelianGroupError):
-        beta_eval(s3, ZChain(), PeriodicPoint((0,)))
+        beta_eval(s3, ZChain(), (0,))
     with pytest.raises(NonAbelianGroupError):
-        cylinder_to_chain(s3, CylinderSpec({0: 1}))
+        cylinder_to_chain(s3, [(0, 1)])
     with pytest.raises(NonAbelianGroupError):
         coboundary_decompose(s3, ZChain())
     with pytest.raises(NonAbelianGroupError):
@@ -83,13 +97,13 @@ def test_beta_additive(c1, c2, x):
 
 @given(chains_st, points_st)
 def test_beta_shift_equivariant(c, x):
-    assert beta_eval(C3, alpha(c), x) == beta_eval(C3, c, shift_point(x, -1))
-    assert beta_eval(C3, alpha(c, -1), x) == beta_eval(C3, c, shift_point(x, 1))
+    assert beta_eval(C3, alpha(c), x) == beta_eval(C3, c, x[1:] + x[:1])
+    assert beta_eval(C3, alpha(c, -1), x) == beta_eval(C3, c, x[-1:] + x[:-1])
 
 
 def test_cylinder_examples():
-    assert cylinder_to_chain(C2, CylinderSpec({0: 1})) == ZChain.of(Word({0: 1}))
-    assert cylinder_to_chain(C2, CylinderSpec({0: 0})) == ZChain.of(
+    assert cylinder_to_chain(C2, [(0, 1)]) == ZChain.of(Word({0: 1}))
+    assert cylinder_to_chain(C2, [(0, 0)]) == ZChain.of(
         EMPTY_WORD
     ) - ZChain.of(Word({0: 1}))
     expected = (
@@ -97,15 +111,14 @@ def test_cylinder_examples():
         - ZChain.of(Word({0: 1, 1: 1}))
         - ZChain.of(Word({0: 2, 1: 1}))
     )
-    assert cylinder_to_chain(C3, CylinderSpec({0: 0, 1: 1})) == expected
+    assert cylinder_to_chain(C3, [(0, 0), (1, 1)]) == expected
 
 
 def test_cylinder_c3_example_by_evaluation():
     # Verify the expansion on all 9 two-coordinate patterns.
-    spec = CylinderSpec({0: 0, 1: 1})
-    chain = cylinder_to_chain(C3, spec)
+    chain = cylinder_to_chain(C3, [(0, 0), (1, 1)])
     for v0, v1 in product(range(3), repeat=2):
-        x = Word({0: v0, 1: v1})
+        x = (v0, v1)
         indicator = 1 if (v0 == 0 and v1 == 1) else 0
         assert beta_eval(C3, chain, x) == indicator
 
@@ -117,29 +130,27 @@ def test_cylinder_c3_example_by_evaluation():
 def test_cylinder_indicator_oracle(constraints, pattern):
     # The expanded chain evaluates exactly as the cylinder membership test,
     # and all coefficients are +-1.
-    spec = CylinderSpec(constraints)
-    chain = cylinder_to_chain(C3, spec)
+    chain = cylinder_to_chain(C3, constraints.items())
     assert all(c in (1, -1) for _, c in chain.items())
-    x = PeriodicPoint(pattern)
-    member = all(x.value_at(p) == v for p, v in spec.constraints.items())
-    assert beta_eval(C3, chain, x) == (1 if member else 0)
+    member = all(pattern[p % len(pattern)] == v for p, v in constraints.items())
+    assert beta_eval(C3, chain, pattern) == (1 if member else 0)
 
 
 def test_cylinder_value_range_checked():
     with pytest.raises(LampkError):
-        cylinder_to_chain(C2, CylinderSpec({0: 5}))
+        cylinder_to_chain(C2, [(0, 5)])
 
 
 def test_cylinder_size_guard():
     # r^k terms for k trivial pins: C3 with 10 pins is 59 049 terms, 11 is
     # 177 147; C2 with 17 pins is 131 072.
     assert 3**10 <= MAX_CYLINDER_TERMS < 3**11
-    assert len(cylinder_to_chain(C2, CylinderSpec({p: 0 for p in range(10)}))) == 2**10
+    assert len(cylinder_to_chain(C2, [(p, 0) for p in range(10)])) == 2**10
     for group, pins in ((C2, 17), (C2, 40), (C3, 11), (KLEIN4, 10**4)):
         with pytest.raises(BudgetError):
-            cylinder_to_chain(group, CylinderSpec({p: 0 for p in range(pins)}))
+            cylinder_to_chain(group, [(p, 0) for p in range(pins)])
     # pins to nontrivial letters add no terms
-    spec = CylinderSpec({p: 1 for p in range(40)})
+    spec = [(p, 1) for p in range(40)]
     assert cylinder_to_chain(C2, spec) == ZChain.of(Word({p: 1 for p in range(40)}))
 
 
@@ -148,7 +159,7 @@ def _functional_residual(group, f, witness, canonical, x):
         beta_eval(group, f, x)
         - (
             beta_eval(group, witness, x)
-            - beta_eval(group, witness, shift_point(x, 1))
+            - beta_eval(group, witness, shifted(x, 1))
         )
         - beta_eval(group, canonical, x)
     )
@@ -172,8 +183,7 @@ def test_coboundary_decompose_examples():
     assert canonical == ZChain.of(Word({0: 1}))
     assert witness != ZChain()
     for pattern in product(range(2), repeat=4):
-        x = PeriodicPoint(pattern)
-        assert _functional_residual(C2, f, witness, canonical, x) == 0
+        assert _functional_residual(C2, f, witness, canonical, pattern) == 0
 
 
 @given(chains_st, points_st)
@@ -188,14 +198,14 @@ def test_periodic_orbit_sum_examples():
     coboundary = c - alpha(c)
     for pattern in ((1,), (0, 1), (1, 1, 0), (1, 0, 1, 1)):
         # chain coboundaries are function coboundaries: orbit sums vanish
-        assert periodic_orbit_sum(C2, coboundary, PeriodicPoint(pattern)) == 0
-    assert periodic_orbit_sum(C2, ZChain.of(EMPTY_WORD), PeriodicPoint((0, 1, 0))) == 3
-    assert periodic_orbit_sum(C2, ZChain.of(Word({0: 1})), PeriodicPoint((1, 0))) == 1
+        assert periodic_orbit_sum(C2, coboundary, pattern) == 0
+    assert periodic_orbit_sum(C2, ZChain.of(EMPTY_WORD), (0, 1, 0)) == 3
+    assert periodic_orbit_sum(C2, ZChain.of(Word({0: 1})), (1, 0)) == 1
 
 
 def _orbit_sum_by_shifts(group, f, x):
     """The definition of the orbit sum: beta_eval at each shifted point."""
-    return sum(beta_eval(group, f, x.shifted(k)) for k in range(x.period))
+    return sum(beta_eval(group, f, shifted(x, k)) for k in range(len(x)))
 
 
 @st.composite
@@ -216,14 +226,14 @@ def orbit_sum_cases(draw):
     )
     # a repeated base pattern stands for a period that is not minimal
     base = draw(st.lists(st.integers(0, r - 1), min_size=1, max_size=6))
-    return group, f, PeriodicPoint(base * draw(st.integers(1, 3)))
+    return group, f, tuple(base * draw(st.integers(1, 3)))
 
 
 @settings(max_examples=300)
 @given(orbit_sum_cases())
-@example((C2, ZChain(), PeriodicPoint((0, 1))))
-@example((C3, ZChain.of(EMPTY_WORD, -4), PeriodicPoint((2, 0, 2, 0))))
-@example((KLEIN4, ZChain.of(Word({-37: 3, 29: 1})), PeriodicPoint((3, 1) * 3)))
+@example((C2, ZChain(), (0, 1)))
+@example((C3, ZChain.of(EMPTY_WORD, -4), (2, 0, 2, 0)))
+@example((KLEIN4, ZChain.of(Word({-37: 3, 29: 1})), (3, 1) * 3))
 def test_periodic_orbit_sum_matches_the_shifted_points(case):
     group, f, x = case
     assert periodic_orbit_sum(group, f, x) == _orbit_sum_by_shifts(group, f, x)
@@ -275,13 +285,13 @@ def _brute_force_orbits(r, max_period):
 def test_orbit_representatives_dedupe():
     reps = list(orbit_representatives(C2, 4))
     # aperiodic binary necklaces by period: 2, 1, 2, 3
-    assert [r.period for r in reps].count(1) == 2
-    assert [r.period for r in reps].count(2) == 1
-    assert [r.period for r in reps].count(3) == 2
-    assert [r.period for r in reps].count(4) == 3
+    assert [len(r) for r in reps].count(1) == 2
+    assert [len(r) for r in reps].count(2) == 1
+    assert [len(r) for r in reps].count(3) == 2
+    assert [len(r) for r in reps].count(4) == 3
     assert len(set(reps)) == len(reps)
     for group, horizon in ((C2, 10), (C3, 6), (KLEIN4, 5)):
-        got = [x.pattern for x in orbit_representatives(group, horizon)]
+        got = list(orbit_representatives(group, horizon))
         assert got == list(_brute_force_orbits(group.num_irreps, horizon))
 
 
@@ -324,7 +334,7 @@ def test_livsic_horizon_reproducers(f, orbit, total):
     assert report.max_period_checked == 7
     assert not report.is_coboundary_exact
     assert not report.periodic_sums_vanish
-    assert report.violating_orbit == PeriodicPoint(orbit)
+    assert report.violating_orbit == orbit
     assert report.violating_sum == total
     assert periodic_orbit_sum(C2, f, report.violating_orbit) == total
 
@@ -441,11 +451,11 @@ def test_livsic_examples():
     report = livsic_check(C2, ZChain.of(EMPTY_WORD), 1)
     assert not report.is_coboundary_exact
     assert not report.periodic_sums_vanish
-    assert report.violating_orbit == PeriodicPoint((0,))
+    assert report.violating_orbit == (0,)
     assert report.violating_sum == 1
 
     report = livsic_check(C2, ZChain.of(Word({0: 1})), 1)
-    assert report.violating_orbit == PeriodicPoint((1,))
+    assert report.violating_orbit == (1,)
     assert report.violating_sum == 1
 
 

@@ -14,7 +14,6 @@ from lampk.grouprep import (
     builtin,
     csalgebras_isomorphic_abelian_case,
     fingerprint,
-    validate,
 )
 
 BUILTIN_NAMES = ["C2", "C3", "C6", "klein4", "S3", "D4", "Q8", "A4", "S4", "A5"]
@@ -68,24 +67,25 @@ def test_cyclic_order_guards():
 
 
 def test_validate():
-    g = validate("user", 6, (1, 1, 2))
+    g = GroupRepData(name="user", order=6, dims=(1, 1, 2))
     assert g.abelian_order == 2
-    assert validate("v4", 4, (1, 1, 1, 1)).is_abelian
+    assert GroupRepData(name="v4", order=4, dims=(1, 1, 1, 1)).is_abelian
     with pytest.raises(GroupDataError, match="squared dimensions"):
-        validate("bad", 6, (1, 2))
+        GroupRepData(name="bad", order=6, dims=(1, 2))
     with pytest.raises(GroupDataError, match="trivial"):
-        validate("bad", 5, (2, 1))
+        GroupRepData(name="bad", order=5, dims=(2, 1))
     with pytest.raises(GroupDataError, match="order"):
-        validate("bad", 1, (1,))
+        GroupRepData(name="bad", order=1, dims=(1,))
     with pytest.raises(GroupDataError, match="divide"):
-        validate("bad", 7, (1, 1, 1, 2))
+        GroupRepData(name="bad", order=7, dims=(1, 1, 1, 2))
 
 
 def test_group_rep_data_is_an_immutable_value():
     g = builtin("S3")
     same = GroupRepData(name="S3", order=6, dims=[1, 1, 2])
     assert g == same and hash(g) == hash(same) and g is not same
-    assert g != validate("S3'", 6, (1, 1, 2)) and g != builtin("C6")
+    assert g != GroupRepData(name="S3'", order=6, dims=(1, 1, 2))
+    assert g != builtin("C6")
     assert g != ("S3", 6, (1, 1, 2), 2)
     assert repr(g) == "GroupRepData(name='S3', order=6, dims=(1, 1, 2), abelian_order=2)"
     with pytest.raises(AttributeError):
@@ -104,8 +104,8 @@ def test_fingerprint():
     assert fingerprint(builtin("S3")) == (6, (1, 1, 2), 2)
     assert fingerprint(builtin("Q8")) == (8, (1, 1, 1, 1, 2), 4)
     # invariant under permuting nontrivial irreps
-    a = validate("a", 24, (1, 1, 2, 3, 3))
-    b = validate("b", 24, (1, 3, 2, 1, 3))
+    a = GroupRepData(name="a", order=24, dims=(1, 1, 2, 3, 3))
+    b = GroupRepData(name="b", order=24, dims=(1, 3, 2, 1, 3))
     assert fingerprint(a) == fingerprint(b)
 
 

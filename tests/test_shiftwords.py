@@ -26,8 +26,7 @@ def test_word_normal_form():
     assert Word({0: 0, 3: 1}) == Word({3: 1})
     assert Word().is_empty
     assert Word({2: 1, -1: 2}).entries == ((-1, 2), (2, 1))
-    assert Word({1: 1}).value_at(1) == 1
-    assert Word({1: 1}).value_at(0) == 0
+    assert Word({1: 1, 0: 0}).entries == ((1, 1),)
     with pytest.raises(LampkError):
         Word([(0, 1), (0, 2)])
 

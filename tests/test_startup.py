@@ -7,6 +7,7 @@ lampk does.
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -88,6 +89,20 @@ def test_every_public_name_resolves():
     namespace = {}
     exec("from lampk import *", namespace)
     assert set(lampk.__all__) <= set(namespace)
+
+
+def test_readme_lists_every_public_name_under_its_module():
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    after = readme.split("Every public name is importable from `lampk`:")[1]
+    section = after.strip("\n").split("\n\n")[0]  # the list ends at a blank line
+    listed = {}
+    for bullet in re.split(r"^- ", section, flags=re.M)[1:]:
+        module, names = bullet.split(":", 1)
+        for name in re.findall(r"`(\w+)`", names):
+            listed[name] = module.strip("`")
+    assert sorted(listed) == sorted(lampk.__all__)
+    for name, module in listed.items():
+        assert getattr(lampk, name).__module__ == f"lampk.{module}", name
 
 
 def test_dir_covers_the_public_names():

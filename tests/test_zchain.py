@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from lampk import intdet
 from lampk.colimitk import LevelVector, complement_tuples, f_apply, level_tuples, tuple_dim
 from lampk.errors import GroupDataError
-from lampk.fullshift import CylinderSpec, cylinder_to_chain
-from lampk.grouprep import _CATALOG, builtin, validate
+from lampk.fullshift import cylinder_to_chain
+from lampk.grouprep import _CATALOG, GroupRepData, builtin
 from lampk.lamplighterk import trace_of_chain
 from lampk.shiftwords import EMPTY_WORD, Word, canonicalize, enumerate_canonical, shift
 from lampk.zchain import (
@@ -226,7 +226,9 @@ def groups_st(draw):
         return builtin(draw(st.sampled_from(["C2", "C3", "C4", *_CATALOG])))
     dims = [1, *draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))]
     try:
-        return validate("inline", sum(d * d for d in dims), dims)
+        return GroupRepData(
+            name="inline", order=sum(d * d for d in dims), dims=tuple(dims)
+        )
     except GroupDataError:
         assume(False)
 
@@ -305,4 +307,4 @@ def test_phi_is_the_cylinder_expansion_on_abelian_groups():
             for t in level_tuples(group, n):
                 expected = _cylinder_by_signs(group, dict(enumerate(t)))
                 assert _phi(group, t) == expected, (name, t)
-                assert cylinder_to_chain(group, CylinderSpec(dict(enumerate(t)))) == expected
+                assert cylinder_to_chain(group, enumerate(t)) == expected

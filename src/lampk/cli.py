@@ -41,9 +41,21 @@ def _parse_group(text: str) -> GroupRepData:
 def _parse_json_arg(flag: str, text: str):
     """Malformed JSON is a usage error; well-formed JSON the interpreter
     cannot hold (an integer past its digit limit, or nesting past its
-    recursion limit) is a domain error."""
+    recursion limit), or an object giving a key twice, is a domain error."""
+
+    def unique_keys(pairs: list) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            seen = set()
+            for key, _ in pairs:
+                if key in seen:
+                    key = json.dumps(key, ensure_ascii=False)
+                    raise LampkError(f"{flag}: key {key} given twice in one object")
+                seen.add(key)
+        return obj
+
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise UsageError(f"{flag}: invalid JSON: {exc}") from exc
     except ValueError as exc:
@@ -86,16 +98,30 @@ def _load_chain(path_or_json: str, group: GroupRepData):
     return chain
 
 
-def _emit(payload, fmt: str = "json", table_lines=None) -> None:
+def _emit(payload: dict, fmt: str = "json", table_lines=None) -> None:
+    """Print the payload as ``json.dumps(payload, indent=2, ensure_ascii=False)``
+    would, with each ZChain value written as its chain JSON."""
     if fmt == "table" and table_lines is not None:
         for line in table_lines:
             print(line)
         return
+    # A ZChain exists only once its module is loaded, so look it up rather
+    # than import it on every subcommand's path.
+    zchain = sys.modules.get(f"{__package__}.zchain")
+    parts = []  # printed one by one, so the whole text is never joined
     try:
-        text = json.dumps(payload, indent=2, ensure_ascii=False)
+        for key, value in payload.items():
+            if zchain is not None and isinstance(value, zchain.ZChain):
+                from . import jsonio
+
+                text = jsonio.chain_text(value)
+            else:
+                text = json.dumps(value, indent=2, ensure_ascii=False)
+            key = json.dumps(key, ensure_ascii=False)
+            parts += (",\n  " if parts else "{\n  ", key, ": ", text.replace("\n", "\n  "))
     except ValueError as exc:  # an integer past the interpreter's digit limit
         raise LampkError(f"the result cannot be printed: {exc}") from exc
-    print(text)
+    print(*parts, "\n}" if parts else "{}", sep="")
 
 
 def _word_table(words) -> list[str]:
@@ -230,7 +256,6 @@ def cmd_trace_image(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    from . import jsonio
     from .fullshift import coboundary_decompose
 
     group = _parse_group(args.group)
@@ -239,8 +264,8 @@ def cmd_decompose(args) -> int:
     _emit(
         {
             "group": group.name,
-            "witness": jsonio.chain_to_json(witness),
-            "canonical": jsonio.chain_to_json(canonical),
+            "witness": witness,
+            "canonical": canonical,
         }
     )
     return 0
@@ -278,7 +303,7 @@ def cmd_cylinder_expand(args) -> int:
     if not isinstance(raw, dict):
         raise UsageError("--spec: expected an object of position -> value")
     chain = cylinder_to_chain(group, jsonio.pins_from_json(raw))
-    _emit({"group": group.name, "chain": jsonio.chain_to_json(chain)})
+    _emit({"group": group.name, "chain": chain})
     return 0
 
 

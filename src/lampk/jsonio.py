@@ -84,6 +84,24 @@ def chain_to_json(chain: ZChain) -> list:
     ]
 
 
+def chain_text(chain: ZChain) -> str:
+    """``json.dumps(chain_to_json(chain), indent=2)``, written straight from
+    the terms: every term has the same shape, so no dicts are built for the
+    encoder to walk (with an indent it takes its pure-Python path)."""
+    items = []
+    for word, coeff in chain.terms():
+        if word.entries:
+            entries = ",\n        ".join([f'"{pos}": {idx}' for pos, idx in word.entries])
+            entries = f"{{\n        {entries}\n      }}"
+        else:
+            entries = "{}"
+        items.append(
+            f'  {{\n    "word": {{\n      "entries": {entries}\n    }},\n'
+            f'    "coeff": {coeff}\n  }}'
+        )
+    return "[\n" + ",\n".join(items) + "\n]" if items else "[]"
+
+
 def chain_from_json(data: list) -> ZChain:
     if not isinstance(data, list):
         raise LampkError("chain JSON must be an array of {word, coeff} objects")

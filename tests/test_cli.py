@@ -7,10 +7,13 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lampk import jsonio
 from lampk.cli import MAX_CHAIN_FILE_CHARS, main
-from lampk.grouprep import builtin
+from lampk.fullshift import coboundary_decompose, cylinder_to_chain
+from lampk.grouprep import GroupRepData, builtin
 from lampk.shiftwords import Word
 from lampk.zchain import ZChain, alpha
 
@@ -52,6 +55,23 @@ def test_chain_round_trip():
     data = jsonio.chain_to_json(chain)
     assert jsonio.chain_from_json(data) == chain
     assert jsonio.chain_to_json(ZChain()) == []
+
+
+# positions near zero and far from it; coefficients up to 400 digits
+positions = st.integers(-3, 3) | st.integers(-(10**40), 10**40)
+coefficients = st.integers(-5, 5) | st.integers(-(10**400), 10**400)
+words = st.dictionaries(positions, st.integers(0, 4), max_size=5).map(Word)
+chains = st.lists(st.tuples(words, coefficients), max_size=6).map(ZChain)
+
+
+@settings(max_examples=300)
+@given(chains)
+@example(ZChain())
+@example(ZChain.of(Word()))
+@example(ZChain.of(Word(), 7) - ZChain.of(Word(), 7))
+@example(ZChain.of(Word({-(10**30): 3, 0: 1, 5: 2}), -(10**300)) + ZChain.of(Word(), 10**300))
+def test_chain_text_is_the_indented_dump(chain):
+    assert jsonio.chain_text(chain) == json.dumps(jsonio.chain_to_json(chain), indent=2)
 
 
 def test_group_round_trip():
@@ -337,6 +357,10 @@ def test_integers_past_the_digit_limit_end_in_the_contract(capsys):
             (["decompose", "--group", "C2", "--fn",
               "[%s, %s]" % (term % (0, "9" * 4300), term % (1, "9" * 4300))],
              "LampkError"),
+            # emitted: the canonical word's last position has 4 301 digits
+            (["decompose", "--group", "C2", "--fn",
+              '[{"word": {"entries": {"-5": 1, "%s": 1}}, "coeff": 1}]' % ("9" * 4300)],
+             "LampkError"),
             # refused before computing: 2^14 285 has 4 301 digits
             (["trace-image", "--group", "C2", "--level", "14285"], "BudgetError"),
         ]
@@ -454,6 +478,57 @@ def test_cylinder_spec_duplicate_position_is_domain_error(capsys, spec):
     error = json.loads(err)["error"]
     assert error["type"] == "LampkError"
     assert error["message"] == "duplicate position 0 in cylinder spec"
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["cylinder-expand", "--group", "C2", "--spec", '{"0":0,"0":1}'], "--spec: key \"0\""),
+        (["decompose", "--group", "C3", "--fn",
+          '[{"word":{"entries":{"0":1,"0":2}},"coeff":1}]'], "--fn: key \"0\""),
+        (["decompose", "--group", "C3", "--fn",
+          '[{"word":{"entries":{"0":1}},"coeff":1,"coeff":2}]'], "--fn: key \"coeff\""),
+        (["trace", "--group", "C2", "--word", '{"3":1,"3":1}'], "--word: key \"3\""),
+        (["fingerprint", "--group", '{"name":"C2","order":2,"dims":[1,1],"order":3}'],
+         "--group: key \"order\""),
+    ],
+)
+def test_repeated_json_key_is_domain_error(capsys, argv, key):
+    # json.loads keeps the last value of a repeated key: conflicting input
+    # must be refused, not silently collapsed
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    error = json.loads(err)["error"]
+    assert error["type"] == "LampkError"
+    assert error["message"] == f"{key} given twice in one object"
+
+
+def test_chain_outputs_are_the_indented_dump(capsys):
+    # a group name that needs escaping and is not ASCII, as inline JSON
+    group = GroupRepData(name='Z/2 "Zwei" ß✓', order=2, dims=(1, 1))
+    group_arg = json.dumps({"name": group.name, "order": 2, "dims": [1, 1]})
+    terms = [({"-3": 1, "0": 1}, -(10**200)), ({"2": 1}, 5), ({}, 3)]
+    fn = json.dumps([{"word": {"entries": e}, "coeff": c} for e, c in terms])
+    witness, canonical = coboundary_decompose(group, jsonio.chain_from_json(json.loads(fn)))
+    payload = {
+        "group": group.name,
+        "witness": jsonio.chain_to_json(witness),
+        "canonical": jsonio.chain_to_json(canonical),
+    }
+    code, out, _ = run_cli(capsys, "decompose", "--group", group_arg, "--fn", fn)
+    assert code == 0
+    assert witness and canonical
+    assert out == json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+
+    pins = [(0, 0), (1, 1), (3, 0)]
+    payload = {
+        "group": group.name,
+        "chain": jsonio.chain_to_json(cylinder_to_chain(group, pins)),
+    }
+    spec = json.dumps({str(p): v for p, v in pins})
+    code, out, _ = run_cli(capsys, "cylinder-expand", "--group", group_arg, "--spec", spec)
+    assert code == 0
+    assert out == json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
 
 
 def test_nonabelian_fullshift_is_domain_error(capsys):

@@ -119,7 +119,13 @@ def _emit(payload: dict, fmt: str = "json", table_lines=None) -> None:
                 text = json.dumps(value, indent=2, ensure_ascii=False)
             key = json.dumps(key, ensure_ascii=False)
             parts += (",\n  " if parts else "{\n  ", key, ": ", text.replace("\n", "\n  "))
-    except ValueError as exc:  # an integer past the interpreter's digit limit
+        # A lone surrogate in an echoed name cannot be encoded: find out
+        # before the first byte is written.
+        encoding = getattr(sys.stdout, "encoding", None) or "utf-8"
+        errors = getattr(sys.stdout, "errors", None) or "strict"
+        for part in parts:
+            part.encode(encoding, errors)
+    except ValueError as exc:  # past the digit limit, or not encodable
         raise LampkError(f"the result cannot be printed: {exc}") from exc
     print(*parts, "\n}" if parts else "{}", sep="")
 

@@ -13,7 +13,8 @@ the square matrix they assemble must have determinant +-1.  The matrix is
 built column by column from ``f_apply`` itself, so the certificate speaks
 about the exported map, and it stays sparse (r + 1 nonzeros in an
 induction column, one in a complement column) all the way into the exact
-determinant.
+determinant, which singleton peeling (``intdet.det``) finds with no dense
+step: the matrix is triangular by level once the complement is peeled.
 """
 
 from __future__ import annotations
@@ -115,6 +116,22 @@ def claim_matrix(group: GroupRepData, levels: int) -> list[list[tuple[int, int]]
     images under ``f_apply`` of the level-1..N-1 basis tuples, then the
     unit columns of the complement basis, in the same order.  Column and
     row counts agree by construction.
+
+    Singleton peeling reduces this matrix completely, so its determinant
+    is +-1 and ``intdet.det`` needs no other step:
+
+    - each complement column is a unit column; peeling it removes its row,
+      so every level-1 row and every row with a nontrivial last coordinate
+      goes;
+    - the rows left are (t, 0) for t of levels 1..N-1, one for each column
+      left, ``f_apply(t)``; that column hits (t, 0) with -d_0 = -1, and
+      otherwise only t itself (+1), when t = (t', 0) is a row left one
+      level lower;
+    - pairing column ``f_apply(t)`` with row (t, 0), the rest is triangular
+      by level with -1 on the diagonal.  A singleton of a triangular matrix
+      with nonzero diagonal is a diagonal entry, and removing its row and
+      column leaves such a matrix again, so peeling ends with nothing left,
+      in whatever order it takes the singletons.
     """
     rows = [t for n in range(1, levels + 1) for t in level_tuples(group, n)]
     row_index = {t: i for i, t in enumerate(rows)}

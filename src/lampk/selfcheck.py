@@ -203,14 +203,15 @@ def check_beta_freeness() -> str:
         r = group.num_irreps
         words = enumerate_canonical(group, 4)
         patterns = list(product(range(r), repeat=5))
-        matrix = [
+        columns = [
             [
-                1 if all(pattern[p] == v for p, v in w.entries) else 0
-                for w in words
+                (k, 1)
+                for k, pattern in enumerate(patterns)
+                if all(pattern[p] == v for p, v in w.entries)
             ]
-            for pattern in patterns
+            for w in words
         ]
-        rk = intdet.rank(matrix)
+        rk = intdet.rank(columns, len(patterns))
         _require(
             rk == len(words),
             f"{name}: rank {rk} < {len(words)} columns, not free",

@@ -422,6 +422,22 @@ def test_closed_stdout_ends_in_the_contract():
     assert json.loads(err)["error"]["type"] == "BrokenPipeError"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--group", '{"name":"\\ud800","order":2,"dims":[1,1]}', "--other", "C2"],
+        ["orbits", "--group", '{"name":"\\ud800","order":2,"dims":[1,1]}', "--max-len", "1"],
+    ],
+)
+def test_unencodable_name_is_a_domain_error_with_empty_stdout(capsys, argv):
+    # JSON admits a lone surrogate, which no UTF-8 stdout can write: the
+    # result is refused before anything is printed
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    message = json.loads(err)["error"]["message"]
+    assert message.startswith("the result cannot be printed") and "surrogates" in message
+
+
 def test_livsic_default_horizon_is_proven(capsys):
     # support [-6, -3], so w = 4 and the horizon is 2w - 1 = 7
     chain_json = (

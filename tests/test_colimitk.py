@@ -1,7 +1,10 @@
 from itertools import product
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
+from lampk import intdet
 from lampk.colimitk import (
     MAX_CERTIFICATE_COLUMNS,
     LevelVector,
@@ -13,8 +16,8 @@ from lampk.colimitk import (
     total_size,
     tuple_dim,
 )
-from lampk.errors import BudgetError, TruncationError
-from lampk.grouprep import builtin
+from lampk.errors import BudgetError, GroupDataError, TruncationError
+from lampk.grouprep import GroupRepData, builtin
 
 
 def dense_rows(columns):
@@ -137,6 +140,26 @@ def test_claim_certificate_unimodular(name, levels):
     assert cert.size == total_size(builtin(name), levels)
     assert cert.det in (1, -1)
     assert cert.holds
+
+
+@st.composite
+def certificate_inputs(draw):
+    """A valid inline dims vector and a truncation of 2 to 4 levels: at
+    most 6 irreps, so at most 1 554 columns, within the column limit."""
+    dims = [1, *draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))]
+    try:
+        group = GroupRepData(name="inline", order=sum(d * d for d in dims), dims=dims)
+    except GroupDataError:
+        assume(False)
+    return group, draw(st.integers(2, 4))
+
+
+@given(certificate_inputs())
+def test_certificate_peels_to_a_unit(case):
+    # the triangularity proof in claim_matrix: peeling leaves no core, so
+    # det never raises, and the determinant is +-1
+    group, levels = case
+    assert intdet.det(claim_matrix(group, levels)) in (1, -1)
 
 
 def test_claim_certificate_is_a_named_tuple():

@@ -198,15 +198,15 @@ def test_coinvariant_rank_matches_snf_cokernel():
         assert len(class_words) == len({canonicalize(w)[0] for w in domain})
 
         index = {w: i for i, w in enumerate(codomain)}
-        columns = []
-        for w in domain:
-            image = ZChain.of(w) - alpha(ZChain.of(w))
-            col = [0] * len(codomain)
-            for word, coeff in image.items():
-                col[index[word]] = coeff
-            columns.append(col)
-        matrix = [[columns[j][i] for j in range(len(columns))] for i in range(len(codomain))]
-        rk = intdet.rank(matrix)
+        columns = [
+            [(index[word], coeff) for word, coeff in (ZChain.of(w) - alpha(ZChain.of(w))).items()]
+            for w in domain
+        ]
+        matrix = [[0] * len(columns) for _ in codomain]
+        for j, column in enumerate(columns):
+            for i, coeff in column:
+                matrix[i][j] = coeff
+        rk = intdet.rank(columns, len(codomain))
         # kernel of (Id - alpha) on the window is exactly the empty-word line
         assert rk == len(domain) - 1
         diag = _snf_diagonal(matrix)

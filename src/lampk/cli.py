@@ -114,11 +114,11 @@ def _emit(payload: dict, fmt: str = "json", table_lines=None) -> None:
             if zchain is not None and isinstance(value, zchain.ZChain):
                 from . import jsonio
 
-                text = jsonio.chain_text(value)
+                text = jsonio.chain_text(value, "  ")
             else:
-                text = json.dumps(value, indent=2, ensure_ascii=False)
+                text = json.dumps(value, indent=2, ensure_ascii=False).replace("\n", "\n  ")
             key = json.dumps(key, ensure_ascii=False)
-            parts += (",\n  " if parts else "{\n  ", key, ": ", text.replace("\n", "\n  "))
+            parts += (",\n  " if parts else "{\n  ", key, ": ", text)
         # A lone surrogate in an echoed name cannot be encoded: find out
         # before the first byte is written.
         encoding = getattr(sys.stdout, "encoding", None) or "utf-8"

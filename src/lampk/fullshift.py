@@ -10,7 +10,7 @@ evaluation of such functions at periodic points, together with the
 coboundary splitting and the periodic-orbit test, which scans one orbit
 per Lyndon word up to a horizon proven to expose every non-coboundary.
 
-The splitting delegates to the chain-level decomposition; only the shift
+The splitting shares the chain-level telescoping pass; only the shift
 bookkeeping differs, because pushing a chain forward moves its function
 backwards: eval(alpha(c), x) == eval(c, shift(x, -1)).
 """
@@ -85,11 +85,11 @@ def coboundary_decompose(group: GroupRepData, f: ZChain) -> zchain.Decomposition
 
         eval(f, x) == eval(g, x) - eval(g, shift(x, 1)) + eval(h, x)
 
-    then holds at every point.
+    then holds at every point.  g is built in the same telescoping pass
+    as m would be, each step shifted once more and negated.
     """
     require_abelian(group)
-    m, canonical = zchain.decompose(f)
-    return zchain.Decomposition(witness=-zchain.alpha(m), canonical=canonical)
+    return zchain._telescope(f, 1, -1)
 
 
 def periodic_orbit_sum(group: GroupRepData, f: ZChain, x: tuple[int, ...]) -> int:

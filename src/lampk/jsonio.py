@@ -84,22 +84,28 @@ def chain_to_json(chain: ZChain) -> list:
     ]
 
 
-def chain_text(chain: ZChain) -> str:
+def chain_text(chain: ZChain, indent: str = "") -> str:
     """``json.dumps(chain_to_json(chain), indent=2)``, written straight from
-    the terms: every term has the same shape, so no dicts are built for the
-    encoder to walk (with an indent it takes its pure-Python path)."""
+    the terms, with ``indent`` after every newline: every term has the same
+    shape, so no dicts are built for the encoder to walk (with an indent it
+    takes its pure-Python path), and a caller nesting the chain in an
+    indented object needs no second, re-indented copy."""
+    n = "\n" + indent
+    sep = f",{n}        "
+    head = f"{{{n}        "
+    tail = f"{n}      }}"
     items = []
     for word, coeff in chain.terms():
         if word.entries:
-            entries = ",\n        ".join([f'"{pos}": {idx}' for pos, idx in word.entries])
-            entries = f"{{\n        {entries}\n      }}"
+            entries = sep.join([f'"{pos}": {idx}' for pos, idx in word.entries])
+            entries = f"{head}{entries}{tail}"
         else:
             entries = "{}"
         items.append(
-            f'  {{\n    "word": {{\n      "entries": {entries}\n    }},\n'
-            f'    "coeff": {coeff}\n  }}'
+            f'  {{{n}    "word": {{{n}      "entries": {entries}{n}    }},{n}'
+            f'    "coeff": {coeff}{n}  }}'
         )
-    return "[\n" + ",\n".join(items) + "\n]" if items else "[]"
+    return f"[{n}" + f",{n}".join(items) + f"{n}]" if items else "[]"
 
 
 def chain_from_json(data: list) -> ZChain:

@@ -13,13 +13,11 @@ identity holds term-exactly, not just up to equivalence.
 
 from __future__ import annotations
 
-from itertools import product
-from math import prod
 from typing import NamedTuple
 
 from .errors import LampkError, check_budget
 from .grouprep import GroupRepData
-from .shiftwords import Word, canonicalize, shift
+from .shiftwords import Word, _trusted_word, canonicalize, shift
 from .sparse import SparseIntVector
 
 
@@ -50,8 +48,8 @@ def is_invariant(chain: ZChain) -> bool:
 
 
 # Terms one witness may stand for: a C2 word at offset 2^17 is split in
-# about 0.5 s, and `lampk decompose` on it, printing 12 MB of JSON, takes
-# about 2.3 s cold (Python 3.11 on an Intel Xeon).
+# about 0.4 s, and `lampk decompose` on it, printing 14 MB of JSON, takes
+# about 1.1 s cold (Python 3.11 on an Intel Xeon).
 MAX_WITNESS_TERMS = 1 << 17
 
 
@@ -71,6 +69,13 @@ def decompose(chain: ZChain) -> Decomposition:
     The witness has at most sum |offset| terms; more than
     MAX_WITNESS_TERMS of them raise BudgetError before any is built.
     """
+    return _telescope(chain, 0, 1)
+
+
+def _telescope(chain: ZChain, step: int, sign: int) -> Decomposition:
+    """``decompose`` with each witness word shifted ``step`` more places and
+    each witness coefficient multiplied by ``sign``: step 1 and sign -1 give
+    the witness -alpha(m) in one pass, with no chain m built first."""
     check_budget(
         "splitting the chain",
         sum(abs(word.min_support or 0) for word in chain),
@@ -78,7 +83,7 @@ def decompose(chain: ZChain) -> Decomposition:
     )
     split = [(canonicalize(word), coeff) for word, coeff in chain.items()]
     witness = ZChain(
-        (shift(rep, j), -coeff if offset > 0 else coeff)
+        (shift(rep, j + step), -sign * coeff if offset > 0 else sign * coeff)
         for (rep, offset), coeff in split
         for j in range(min(offset, 0), max(offset, 0))
     )
@@ -97,8 +102,8 @@ def coinvariant_class(chain: ZChain) -> ZChain:
 
 
 # Terms one projection expansion may build: C2 with 16 trivial pins
-# (65 536 terms) expands in about 0.9 s, and `lampk cylinder-expand` on it,
-# printing 13 MB of JSON, takes about 2.4 s cold (Python 3.11 on an Intel
+# (65 536 terms) expands in about 0.15 s, and `lampk cylinder-expand` on it,
+# printing 15 MB of JSON, takes about 1.0 s cold (Python 3.11 on an Intel
 # Xeon).
 MAX_CYLINDER_TERMS = 1 << 16
 
@@ -113,25 +118,35 @@ def projection_chain(group: GroupRepData, pins) -> ZChain:
     (position left out) or -d_sigma (letter sigma).  Pinning a level tuple
     t at 0, 1, ... gives Phi(t) = word(t) + words with more entries, so Phi
     is unitriangular on the complement basis of ``colimitk``, and it kills
-    the induction map, as the appended d_sigma [p_sigma] sum to [1].  More
-    than MAX_CYLINDER_TERMS terms (r^k for k trivial pins) raise BudgetError
-    before any is built.
+    the induction map, as the appended d_sigma [p_sigma] sum to [1].  A
+    negative or out-of-range index, a position given twice, or more than
+    MAX_CYLINDER_TERMS terms (r^k for k trivial pins) raise before any term
+    is built.
     """
     r = group.num_irreps
-    pins = list(pins)
-    for _, idx in pins:
+    pins = sorted(pins)
+    for i, (pos, idx) in enumerate(pins):
+        if idx < 0:
+            raise LampkError(f"irrep index must be >= 0, got {idx}")
         if idx >= r:
             raise LampkError(f"constraint value {idx} out of range for {group.name}")
+        if i and pins[i - 1][0] == pos:
+            raise LampkError(f"duplicate position {pos} in word entries")
     check_budget(
         f"expanding the trivial pins of a {group.name} cylinder",
         lambda k: r**k, MAX_CYLINDER_TERMS, "terms", steps=sum(i == 0 for _, i in pins),
     )
-    choices = [
-        [((p, idx), 1)] if idx
-        else [(None, 1)] + [((p, g), -d) for g, d in enumerate(group.dims) if g]
-        for p, idx in pins
-    ]
-    return ZChain(
-        (Word([e for e, _ in choice if e]), prod([w for _, w in choice]))
-        for choice in product(*choices)
-    )
+    # Words are extended pin by pin, left to right, so their entries come
+    # out sorted and every word shares its (position, index) pairs.
+    terms = [((), 1)]
+    for pos, idx in pins:
+        choices = (
+            [(((pos, idx),), 1)] if idx
+            else [((), 1)] + [(((pos, g),), -d) for g, d in enumerate(group.dims) if g]
+        )
+        terms = [(items + entry, w * v) for items, w in terms for entry, v in choices]
+    # Each choice of letters is a distinct word with a nonzero weight, so
+    # the terms need no merging.
+    chain = object.__new__(ZChain)
+    chain._coeffs = {_trusted_word(items): w for items, w in terms}
+    return chain

@@ -71,7 +71,9 @@ chains = st.lists(st.tuples(words, coefficients), max_size=6).map(ZChain)
 @example(ZChain.of(Word(), 7) - ZChain.of(Word(), 7))
 @example(ZChain.of(Word({-(10**30): 3, 0: 1, 5: 2}), -(10**300)) + ZChain.of(Word(), 10**300))
 def test_chain_text_is_the_indented_dump(chain):
-    assert jsonio.chain_text(chain) == json.dumps(jsonio.chain_to_json(chain), indent=2)
+    dump = json.dumps(jsonio.chain_to_json(chain), indent=2)
+    assert jsonio.chain_text(chain) == dump
+    assert jsonio.chain_text(chain, "  ") == dump.replace("\n", "\n  ")
 
 
 def test_group_round_trip():

@@ -1,12 +1,13 @@
 import json
 import random
 from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lampk import fullshift, jsonio
+from lampk import fullshift, jsonio, zchain
 from lampk.cli import main
 from lampk.errors import BudgetError, LampkError, NonAbelianGroupError
 from lampk.fullshift import (
@@ -24,7 +25,13 @@ from lampk.fullshift import (
 from lampk.grouprep import builtin
 from lampk.sampling import random_chain, random_word
 from lampk.shiftwords import EMPTY_WORD, Word
-from lampk.zchain import MAX_CYLINDER_TERMS, ZChain, alpha, coinvariant_class
+from lampk.zchain import (
+    MAX_CYLINDER_TERMS,
+    ZChain,
+    alpha,
+    coinvariant_class,
+    decompose,
+)
 
 C2 = builtin("C2")
 C3 = builtin("C3")
@@ -191,6 +198,32 @@ def test_coboundary_decompose_functional_identity(f, x):
     witness, canonical = coboundary_decompose(C3, f)
     assert all(w.is_canonical() for w in canonical)
     assert _functional_residual(C3, f, witness, canonical, x) == 0
+
+
+@st.composite
+def abelian_chain_st(draw):
+    group = draw(st.sampled_from([C2, C3, KLEIN4]))
+    letters = st.integers(1, group.num_irreps - 1)
+    words = st.dictionaries(st.integers(-12, 12), letters, max_size=4).map(Word)
+    return group, ZChain(draw(st.lists(st.tuples(words, st.integers(-5, 5)), max_size=6)))
+
+
+@given(abelian_chain_st(), st.integers(0, 40))
+def test_coboundary_decompose_is_the_three_pass_split(case, limit):
+    # The definition: g = -alpha(m) for the chain witness m of decompose.
+    group, f = case
+    m, h = decompose(f)
+    assert coboundary_decompose(group, f) == (-alpha(m), h)
+    # Under any limit, both entry points refuse exactly the same chains.
+    splits = (decompose, lambda c: coboundary_decompose(group, c))
+    fits = sum(abs(w.min_support or 0) for w in f) <= limit
+    with mock.patch.object(zchain, "MAX_WITNESS_TERMS", limit):
+        for split in splits:
+            if fits:
+                split(f)
+            else:
+                with pytest.raises(BudgetError, match=f"more than {limit} witness terms"):
+                    split(f)
 
 
 def test_periodic_orbit_sum_examples():

@@ -1,12 +1,14 @@
 from fractions import Fraction
 from itertools import product
+from math import prod
 
+import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from lampk import intdet
+from lampk import intdet, zchain
 from lampk.colimitk import LevelVector, complement_tuples, f_apply, level_tuples, tuple_dim
-from lampk.errors import GroupDataError
+from lampk.errors import GroupDataError, LampkError
 from lampk.fullshift import cylinder_to_chain
 from lampk.grouprep import _CATALOG, GroupRepData, builtin
 from lampk.lamplighterk import trace_of_chain
@@ -308,3 +310,58 @@ def test_phi_is_the_cylinder_expansion_on_abelian_groups():
                 expected = _cylinder_by_signs(group, dict(enumerate(t)))
                 assert _phi(group, t) == expected, (name, t)
                 assert cylinder_to_chain(group, enumerate(t)) == expected
+
+
+def _projection_by_words(group, pins):
+    """Phi as first written: one validated Word per choice of letters, the
+    weights multiplied out, and the terms merged by ZChain."""
+    choices = [
+        [((p, idx), 1)] if idx
+        else [(None, 1)] + [((p, g), -d) for g, d in enumerate(group.dims) if g]
+        for p, idx in pins
+    ]
+    return ZChain(
+        (Word([e for e, _ in choice if e]), prod([w for _, w in choice]))
+        for choice in product(*choices)
+    )
+
+
+@st.composite
+def group_and_pins_st(draw):
+    group = draw(groups_st())
+    positions = draw(st.lists(st.integers(-6, 6), unique=True, max_size=5))
+    pins = [(p, draw(st.integers(0, group.num_irreps - 1))) for p in positions]
+    return group, sorted(pins), draw(st.permutations(pins))
+
+
+@given(group_and_pins_st())
+def test_projection_chain_is_the_word_built_product(case):
+    group, pins, shuffled = case
+    chain = projection_chain(group, shuffled)
+    assert chain == _projection_by_words(group, pins) == projection_chain(group, pins)
+    # every word is one Word.__init__ would build, and the words share one
+    # (position, index) pair per distinct entry
+    assert all(Word(w.entries).entries == w.entries for w in chain)
+    pairs = [e for w in chain for e in w.entries]
+    assert len({id(e) for e in pairs}) == len(set(pairs))
+
+
+@pytest.mark.parametrize(
+    "pins, message",
+    [
+        ([(0, -1)], "irrep index must be >= 0, got -1"),
+        ([(3, 1), (0, 0), (1, -2)], "irrep index must be >= 0, got -2"),
+        ([(0, 3)], "constraint value 3 out of range for C3"),
+        ([(0, 0), (0, 0)], "duplicate position 0 in word entries"),
+        ([(0, 1), (0, 0)], "duplicate position 0 in word entries"),
+        ([(5, 2), *((p, 0) for p in range(40)), (5, 2)], "duplicate position 5 in word entries"),
+    ],
+)
+def test_projection_chain_refuses_bad_pins_before_any_term(monkeypatch, pins, message):
+    def build(items):
+        raise AssertionError("a term was built")
+
+    monkeypatch.setattr(zchain, "_trusted_word", build)
+    with pytest.raises(LampkError) as info:
+        projection_chain(builtin("C3"), pins)
+    assert str(info.value) == message

@@ -84,6 +84,20 @@ def chain_to_json(chain: ZChain) -> list:
     ]
 
 
+def _entries_writer(n: str):
+    """A function writing a word's ``"entries": {...}`` as ``indent=2`` does
+    on a line whose newline and indent are ``n``: the one place the word
+    shape is written, for chains and word lists alike."""
+    head, sep, tail = f'"entries": {{{n}  ', f",{n}  ", f"{n}}}"
+
+    def entries_text(entries: tuple) -> str:
+        if not entries:
+            return '"entries": {}'
+        return head + sep.join([f'"{pos}": {idx}' for pos, idx in entries]) + tail
+
+    return entries_text
+
+
 def chain_text(chain: ZChain, indent: str = "") -> str:
     """``json.dumps(chain_to_json(chain), indent=2)``, written straight from
     the terms, with ``indent`` after every newline: every term has the same
@@ -91,20 +105,22 @@ def chain_text(chain: ZChain, indent: str = "") -> str:
     takes its pure-Python path), and a caller nesting the chain in an
     indented object needs no second, re-indented copy."""
     n = "\n" + indent
-    sep = f",{n}        "
-    head = f"{{{n}        "
-    tail = f"{n}      }}"
-    items = []
-    for word, coeff in chain.terms():
-        if word.entries:
-            entries = sep.join([f'"{pos}": {idx}' for pos, idx in word.entries])
-            entries = f"{head}{entries}{tail}"
-        else:
-            entries = "{}"
-        items.append(
-            f'  {{{n}    "word": {{{n}      "entries": {entries}{n}    }},{n}'
-            f'    "coeff": {coeff}{n}  }}'
-        )
+    entries_text = _entries_writer(n + "      ")
+    items = [
+        f'  {{{n}    "word": {{{n}      {entries_text(word.entries)}{n}    }},{n}'
+        f'    "coeff": {coeff}{n}  }}'
+        for word, coeff in chain.terms()
+    ]
+    return f"[{n}" + f",{n}".join(items) + f"{n}]" if items else "[]"
+
+
+def words_text(words: list[Word], indent: str = "") -> str:
+    """``json.dumps([word_to_json(w) for w in words], indent=2)``, written
+    straight from the entries as chain_text writes a chain, with ``indent``
+    after every newline."""
+    n = "\n" + indent
+    entries_text = _entries_writer(n + "    ")
+    items = [f"  {{{n}    {entries_text(word.entries)}{n}  }}" for word in words]
     return f"[{n}" + f",{n}".join(items) + f"{n}]" if items else "[]"
 
 

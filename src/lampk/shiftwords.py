@@ -65,24 +65,28 @@ class Word:
     def sort_key(self) -> tuple:
         """Total order: window length, then index vector, then position.
 
-        The key is flat, (length, lo - p0, i0, lo - p1, i1, ..., lo) over
-        the entries (p, i) from the left end lo.  The index vector is
-        compared through its nonzero entries, with no dense vector built: at
-        the first (lo - p, i) pair that differs, an entry further left is a
-        nonzero where the other vector has 0, so it sorts later.  At equal
-        length both pair lists end at the window's right end, so neither is
-        a proper prefix of the other, and lo is only compared with lo.
-        Flat, the key is cheaper to build and to compare than nested pairs:
-        the 6 561 words of a C3 cylinder with 8 trivial pins sort in about
-        9 to 16 ms, against 23 to 36 ms (Python 3.11 on an Intel Xeon).
+        The key is flat, (L, hi + 1 - p0, i0, hi + 1 - p1, i1, ..., lo) over
+        the entries (p, i) of the window [lo, hi] of length L.  The index
+        vector is compared through its nonzero entries, with no dense vector
+        built: at the first (hi + 1 - p, i) pair that differs, an entry
+        further left has the larger offset and is a nonzero where the other
+        vector has 0, so it sorts later.  At equal length both pair lists end
+        at the window's right end, so neither is a proper prefix of the
+        other, and lo is only compared with lo.  Each offset lies in [1, L],
+        so in a window up to 256 long it is one of the small ints CPython
+        keeps cached, and no new int object is made for it.  Flat, the key
+        is cheaper to build and to compare than nested pairs: the 6 561
+        words of a C3 cylinder with 8 trivial pins sort in about 9 to 16 ms,
+        against 23 to 36 ms (Python 3.11 on an Intel Xeon).
         """
         items = self._items
         if not items:
             return (0, 0)
         lo = items[0][0]
-        key = [items[-1][0] - lo + 1]
+        end = items[-1][0] + 1
+        key = [end - lo]
         for p, idx in items:
-            key += (lo - p, idx)
+            key += (end - p, idx)
         key.append(lo)
         return tuple(key)
 
@@ -148,8 +152,10 @@ def canonical_count(group: GroupRepData, max_len: int) -> int:
     return total
 
 
-# Words one enumeration may build: C2 at max_len 16 (32 769 words) is
-# listed and printed by the CLI in about a second.
+# Words one enumeration may build.  The largest listing under the limit,
+# A5 at max_len 7 (62 501 words, 8.2 MB of JSON), is listed and printed by
+# the CLI in about 0.5 s cold at 51 MB peak RSS, and C2 at max_len 16
+# (32 769 words) in about 0.45 s at 40 MB (Python 3.11 on an Intel Xeon).
 MAX_CANONICAL_WORDS = 1 << 16
 
 
@@ -170,12 +176,18 @@ def enumerate_canonical(group: GroupRepData, max_len: int) -> list[Word]:
         "canonical words", steps=max_len,
     )
     r = group.num_irreps
+    # pairs[p][g] is the entry (p, g), shared by every word holding it; the
+    # entries below are sorted, distinct and nonzero by construction
+    pairs = [[(p, g) for g in range(r)] for p in range(max_len)]
     words = [EMPTY_WORD]
-    words.extend(Word({0: g}) for g in range(1, r))
+    words.extend(_trusted_word((first,)) for first in pairs[0][1:])
     for length in range(2, max_len + 1):
-        for first in range(1, r):
-            for interior in product(range(r), repeat=length - 2):
-                for last in range(1, r):
-                    vec = (first, *interior, last)
-                    words.append(Word((i, v) for i, v in enumerate(vec) if v))
+        interiors = [
+            tuple([pairs[p][g] for p, g in enumerate(interior, 1) if g])
+            for interior in product(range(r), repeat=length - 2)
+        ]
+        lasts = pairs[length - 1][1:]
+        for first in pairs[0][1:]:
+            for interior in interiors:
+                words.extend([_trusted_word((first, *interior, last)) for last in lasts])
     return words

@@ -10,11 +10,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lampk import jsonio
+from lampk import cli, jsonio
 from lampk.cli import MAX_CHAIN_FILE_CHARS, main
 from lampk.fullshift import coboundary_decompose, cylinder_to_chain
 from lampk.grouprep import GroupRepData, builtin
-from lampk.shiftwords import Word
+from lampk.shiftwords import Word, enumerate_canonical
 from lampk.zchain import ZChain, alpha
 
 
@@ -74,6 +74,20 @@ def test_chain_text_is_the_indented_dump(chain):
     dump = json.dumps(jsonio.chain_to_json(chain), indent=2)
     assert jsonio.chain_text(chain) == dump
     assert jsonio.chain_text(chain, "  ") == dump.replace("\n", "\n  ")
+
+
+word_lists = st.lists(words, max_size=6)
+
+
+@settings(max_examples=300)
+@given(word_lists)
+@example([])
+@example([Word()])
+@example([Word(), Word({0: 1}), Word({-(10**30): 3, 0: 1, 5: 2})])
+def test_words_text_is_the_indented_dump(ws):
+    dump = json.dumps([jsonio.word_to_json(w) for w in ws], indent=2)
+    assert jsonio.words_text(ws) == dump
+    assert jsonio.words_text(ws, "  ") == dump.replace("\n", "\n  ")
 
 
 def test_group_round_trip():
@@ -142,6 +156,29 @@ def test_k0_basis(capsys):
     data = run_json(capsys, "k0-basis", "--group", "S3", "--max-len", "2")
     assert data["count"] == 7
     assert data["sides_identical"] is True
+
+
+@pytest.mark.parametrize("command", ["orbits", "k0-basis"])
+def test_word_lists_are_the_indented_dump(capsys, monkeypatch, command):
+    # the table is built only when it is printed
+    def no_table(words):
+        raise AssertionError("_word_table called for --format json")
+
+    monkeypatch.setattr(cli, "_word_table", no_table)
+    group = GroupRepData(name='Z/3 "Drei" ß✓', order=3, dims=(1, 1, 1))
+    group_arg = json.dumps({"name": group.name, "order": 3, "dims": [1, 1, 1]})
+    words = enumerate_canonical(group, 3)
+    payload = {"group": group.name, "max_len": 3, "count": len(words)}
+    if command == "orbits":
+        payload["words"] = [jsonio.word_to_json(w) for w in words]
+    else:
+        payload["basis"] = [jsonio.word_to_json(w) for w in words]
+        payload["sides_identical"] = True
+    code, out, _ = run_cli(capsys, command, "--group", group_arg, "--max-len", "3")
+    assert code == 0
+    assert out == json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+    with pytest.raises(AssertionError, match="_word_table called"):
+        main([command, "--group", "C2", "--max-len", "2", "--format", "table"])
 
 
 def test_k1(capsys):

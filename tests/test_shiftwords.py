@@ -137,6 +137,40 @@ def test_sort_key_orders_as_the_dense_vector(a, b):
     assert (a.sort_key() == b.sort_key()) == (a == b)
 
 
+@given(words_st, words_st)
+def test_sort_key_sorts_as_the_offset_from_the_left_end(a, b):
+    # the key before the offsets were counted from the right end
+    def left_key(w):
+        if w.is_empty:
+            return (0, 0)
+        lo = w.min_support
+        pairs = [x for p, idx in w.entries for x in (lo - p, idx)]
+        return (w.window_length(), *pairs, lo)
+
+    assert (a.sort_key() < b.sort_key()) == (left_key(a) < left_key(b))
+    assert (a.sort_key() == b.sort_key()) == (left_key(a) == left_key(b))
+    offsets = a.sort_key()[1:-1:2]
+    assert all(1 <= off <= a.window_length() for off in offsets)
+
+
+@pytest.mark.parametrize(
+    "name, max_len", [("C2", 1), ("C2", 6), ("C3", 4), ("klein4", 4), ("S3", 3)]
+)
+def test_enumerate_is_the_word_built_list(name, max_len):
+    # the list the validating constructor built, in the same order
+    r = builtin(name).num_irreps
+    expected = [Word()]
+    expected += [Word({0: g}) for g in range(1, r)]
+    for length in range(2, max_len + 1):
+        for first in range(1, r):
+            for interior in product(range(r), repeat=length - 2):
+                for last in range(1, r):
+                    vec = (first, *interior, last)
+                    expected.append(Word((i, v) for i, v in enumerate(vec) if v))
+    words = enumerate_canonical(builtin(name), max_len)
+    assert [w.entries for w in words] == [w.entries for w in expected]
+
+
 def test_enumerate_rejects_bad_len():
     with pytest.raises(LampkError):
         enumerate_canonical(builtin("C2"), 0)

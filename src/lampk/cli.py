@@ -101,22 +101,36 @@ def _load_chain(path_or_json: str, group: GroupRepData):
 def _emit(payload: dict, fmt: str = "json", table_lines=None) -> None:
     """Print the payload as ``json.dumps(payload, indent=2, ensure_ascii=False)``
     would, with each ZChain value written as its chain JSON and each list of
-    Words as its word list JSON."""
+    Words as its word list JSON.
+
+    The text goes to ``sys.stdout``, looked up here, as a stream of pieces:
+    a chain or word list a few terms at a time, so its whole text is never
+    held.  Whatever would make the result unprintable is found before the
+    first byte is written, so a refused result leaves stdout empty: every
+    key and every other value is encoded (a lone surrogate in an echoed
+    name cannot be), and the chain and word writers check the digit limit
+    when called.  Their text is ASCII, so it needs no encoding check.
+    """
     if fmt == "table" and table_lines is not None:
         for line in table_lines:
             print(line)
         return
+    stdout = sys.stdout
     # A ZChain or a Word exists only once its module is loaded, so look it
     # up rather than import it on every subcommand's path.
     zchain = sys.modules.get(f"{__package__}.zchain")
     shiftwords = sys.modules.get(f"{__package__}.shiftwords")
-    parts = []  # printed one by one, so the whole text is never joined
+    encoding = getattr(stdout, "encoding", None) or "utf-8"
+    errors = getattr(stdout, "errors", None) or "strict"
+    parts = []  # iterables of pieces, written in turn
     try:
         for key, value in payload.items():
+            head = (",\n  " if parts else "{\n  ") + json.dumps(key, ensure_ascii=False) + ": "
+            head.encode(encoding, errors)
             if zchain is not None and isinstance(value, zchain.ZChain):
                 from . import jsonio
 
-                text = jsonio.chain_text(value, "  ")
+                pieces = jsonio.chain_pieces(value, "  ")
             elif (
                 shiftwords is not None
                 and isinstance(value, list)
@@ -125,28 +139,25 @@ def _emit(payload: dict, fmt: str = "json", table_lines=None) -> None:
             ):
                 from . import jsonio
 
-                text = jsonio.words_text(value, "  ")
+                pieces = jsonio.words_pieces(value, "  ")
             else:
                 text = json.dumps(value, indent=2, ensure_ascii=False).replace("\n", "\n  ")
-            key = json.dumps(key, ensure_ascii=False)
-            parts += (",\n  " if parts else "{\n  ", key, ": ", text)
-        # A lone surrogate in an echoed name cannot be encoded: find out
-        # before the first byte is written.
-        encoding = getattr(sys.stdout, "encoding", None) or "utf-8"
-        errors = getattr(sys.stdout, "errors", None) or "strict"
-        for part in parts:
-            part.encode(encoding, errors)
+                text.encode(encoding, errors)
+                pieces = (text,)
+            parts += ((head,), pieces)
     except ValueError as exc:  # past the digit limit, or not encodable
         raise LampkError(f"the result cannot be printed: {exc}") from exc
-    print(*parts, "\n}" if parts else "{}", sep="")
+    for pieces in parts:
+        for piece in pieces:
+            stdout.write(piece)
+    stdout.write("\n}\n" if parts else "{}\n")
 
 
-def _word_table(words) -> list[str]:
-    lines = [f"{'#':>5}  {'window':>6}  entries"]
+def _word_table(words):
+    yield f"{'#':>5}  {'window':>6}  entries"
     for i, w in enumerate(words):
         entries = " ".join(f"{p}:{v}" for p, v in w.entries) or "(empty)"
-        lines.append(f"{i:>5}  {w.window_length():>6}  {entries}")
-    return lines
+        yield f"{i:>5}  {w.window_length():>6}  {entries}"
 
 
 def cmd_fingerprint(args) -> int:

@@ -5,11 +5,15 @@ of {"word", "coeff"} sorted in word order with the zero chain as []; a
 cylinder spec maps string positions to values ({"0": 0, "1": 1}); group
 data is {"name", "order", "dims"}; traces are emitted as {"num", "den"}.
 Chains and words re-parse to the same value, and every JSON integer is
-read through exact_int.
+read through exact_int.  Chains and word lists are written as a stream of
+pieces of a few terms or words each, never as one text; the digit limit
+is checked before the first piece.
 """
 
 from __future__ import annotations
 
+from itertools import islice
+from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING
 
 from .errors import LampkError
@@ -98,30 +102,69 @@ def _entries_writer(n: str):
     return entries_text
 
 
-def chain_text(chain: ZChain, indent: str = "") -> str:
-    """``json.dumps(chain_to_json(chain), indent=2)``, written straight from
-    the terms, with ``indent`` after every newline: every term has the same
-    shape, so no dicts are built for the encoder to walk (with an indent it
-    takes its pure-Python path), and a caller nesting the chain in an
-    indented object needs no second, re-indented copy."""
+def _check_digits(words, coeffs=()) -> None:
+    """Raise the ValueError that str() raises on an integer past the
+    interpreter's digit limit if writing these words and coefficients would
+    raise it.  The limit counts digits, not the sign, and the positions of
+    largest magnitude are the smallest first position and the largest last
+    one, so formatting the largest magnitude once raises exactly when some
+    integer would.  Irrep indices are left out: each is below its group's
+    number of irreps."""
+    largest = max(map(abs, coeffs), default=0)
+    entries = list(filter(None, map(attrgetter("entries"), words)))
+    if entries:
+        # (position, index) pairs compare by position first
+        lo = min(map(itemgetter(0), entries))[0]
+        hi = max(map(itemgetter(-1), entries))[0]
+        largest = max(largest, abs(lo), abs(hi))
+    str(largest)
+
+
+def _array_pieces(items, n: str):
+    """The items laid out as ``indent=2`` lays out a JSON array on lines
+    whose newline and indent are ``n``, in pieces of eight items: a piece
+    holds a few kB at most, and writing the pieces costs about what writing
+    one joined text does, where a write per item costs more."""
+    items = iter(items)
+    head, sep = f"[{n}", f",{n}"
+    while chunk := list(islice(items, 8)):
+        yield head + sep.join(chunk)
+        head = sep
+    yield f"{n}]" if head == sep else "[]"
+
+
+def chain_pieces(chain: ZChain, indent: str = ""):
+    """``json.dumps(chain_to_json(chain), indent=2)`` as pieces of text of a
+    few terms each, written straight from the terms, with ``indent`` after
+    every newline.  Every term has the same shape, so no dicts are built for
+    the encoder to walk (with an indent it takes its pure-Python path), and
+    a caller nesting the chain in an indented object needs no second,
+    re-indented copy.  The digit limit is checked when this is called, so a
+    chain that cannot be written raises ValueError before the first piece;
+    the pieces are made as they are taken, and are ASCII."""
+    terms = chain.terms()
+    _check_digits(map(itemgetter(0), terms), map(itemgetter(1), terms))
     n = "\n" + indent
     entries_text = _entries_writer(n + "      ")
-    items = [
-        f'  {{{n}    "word": {{{n}      {entries_text(word.entries)}{n}    }},{n}'
-        f'    "coeff": {coeff}{n}  }}'
-        for word, coeff in chain.terms()
-    ]
-    return f"[{n}" + f",{n}".join(items) + f"{n}]" if items else "[]"
+    return _array_pieces(
+        (
+            f'  {{{n}    "word": {{{n}      {entries_text(word.entries)}{n}    }},{n}'
+            f'    "coeff": {coeff}{n}  }}'
+            for word, coeff in terms
+        ),
+        n,
+    )
 
 
-def words_text(words: list[Word], indent: str = "") -> str:
-    """``json.dumps([word_to_json(w) for w in words], indent=2)``, written
-    straight from the entries as chain_text writes a chain, with ``indent``
-    after every newline."""
+def words_pieces(words: list[Word], indent: str = ""):
+    """``json.dumps([word_to_json(w) for w in words], indent=2)`` as pieces of
+    text of a few words each, written straight from the entries as
+    chain_pieces writes a chain, with ``indent`` after every newline and the
+    digit limit checked when this is called."""
+    _check_digits(words)
     n = "\n" + indent
     entries_text = _entries_writer(n + "    ")
-    items = [f"  {{{n}    {entries_text(word.entries)}{n}  }}" for word in words]
-    return f"[{n}" + f",{n}".join(items) + f"{n}]" if items else "[]"
+    return _array_pieces((f"  {{{n}    {entries_text(word.entries)}{n}  }}" for word in words), n)
 
 
 def chain_from_json(data: list) -> ZChain:

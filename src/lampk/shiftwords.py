@@ -154,8 +154,9 @@ def canonical_count(group: GroupRepData, max_len: int) -> int:
 
 # Words one enumeration may build.  The largest listing under the limit,
 # A5 at max_len 7 (62 501 words, 8.2 MB of JSON), is listed and printed by
-# the CLI in about 0.5 s cold at 51 MB peak RSS, and C2 at max_len 16
-# (32 769 words) in about 0.45 s at 40 MB (Python 3.11 on an Intel Xeon).
+# the CLI in about 0.3 s cold at 24 MB peak RSS, and C2 at max_len 16
+# (32 769 words) in about 0.25 to 0.35 s at 22 MB (Python 3.11 on a 2-core
+# Intel Xeon).
 MAX_CANONICAL_WORDS = 1 << 16
 
 

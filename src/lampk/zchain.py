@@ -49,7 +49,8 @@ def is_invariant(chain: ZChain) -> bool:
 
 # Terms one witness may stand for: a C2 word at offset 2^17 is split in
 # about 0.4 s, and `lampk decompose` on it, printing 14 MB of JSON, takes
-# about 1.1 s cold (Python 3.11 on an Intel Xeon).
+# about 0.7 to 1.2 s cold at 63 MB peak RSS (Python 3.11 on a 2-core Intel
+# Xeon).
 MAX_WITNESS_TERMS = 1 << 17
 
 
@@ -103,8 +104,8 @@ def coinvariant_class(chain: ZChain) -> ZChain:
 
 # Terms one projection expansion may build: C2 with 16 trivial pins
 # (65 536 terms) expands in about 0.15 s, and `lampk cylinder-expand` on it,
-# printing 15 MB of JSON, takes about 1.0 s cold (Python 3.11 on an Intel
-# Xeon).
+# printing 15 MB of JSON, takes about 0.6 to 0.9 s cold at 44 MB peak RSS
+# (Python 3.11 on a 2-core Intel Xeon).
 MAX_CYLINDER_TERMS = 1 << 16
 
 

@@ -72,8 +72,8 @@ chains = st.lists(st.tuples(words, coefficients), max_size=6).map(ZChain)
 @example(ZChain.of(Word({-(10**30): 3, 0: 1, 5: 2}), -(10**300)) + ZChain.of(Word(), 10**300))
 def test_chain_text_is_the_indented_dump(chain):
     dump = json.dumps(jsonio.chain_to_json(chain), indent=2)
-    assert jsonio.chain_text(chain) == dump
-    assert jsonio.chain_text(chain, "  ") == dump.replace("\n", "\n  ")
+    assert "".join(jsonio.chain_pieces(chain)) == dump
+    assert "".join(jsonio.chain_pieces(chain, "  ")) == dump.replace("\n", "\n  ")
 
 
 word_lists = st.lists(words, max_size=6)
@@ -86,8 +86,44 @@ word_lists = st.lists(words, max_size=6)
 @example([Word(), Word({0: 1}), Word({-(10**30): 3, 0: 1, 5: 2})])
 def test_words_text_is_the_indented_dump(ws):
     dump = json.dumps([jsonio.word_to_json(w) for w in ws], indent=2)
-    assert jsonio.words_text(ws) == dump
-    assert jsonio.words_text(ws, "  ") == dump.replace("\n", "\n  ")
+    assert "".join(jsonio.words_pieces(ws)) == dump
+    assert "".join(jsonio.words_pieces(ws, "  ")) == dump.replace("\n", "\n  ")
+
+
+class StdoutRecorder:
+    """A stand-in for sys.stdout that keeps every write."""
+
+    encoding, errors = "utf-8", "strict"
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text: str) -> int:
+        self.writes.append(text)
+        return len(text)
+
+
+def test_chains_and_word_lists_are_written_a_few_terms_at_a_time(monkeypatch):
+    c3, c2 = builtin("C3"), builtin("C2")
+    chain = cylinder_to_chain(c3, [(p, 0) for p in range(8)])
+    words = enumerate_canonical(c2, 11)
+    cases = [
+        ({"group": "C3", "chain": chain}, {"chain": jsonio.chain_to_json(chain)}),
+        (
+            {"group": "C2", "max_len": 11, "count": len(words), "words": words},
+            {"words": [jsonio.word_to_json(w) for w in words]},
+        ),
+    ]
+    for payload, as_json in cases:
+        recorder = StdoutRecorder()
+        monkeypatch.setattr(sys, "stdout", recorder)
+        cli._emit(payload)
+        monkeypatch.undo()
+        dump = json.dumps({**payload, **as_json}, indent=2, ensure_ascii=False) + "\n"
+        assert "".join(recorder.writes) == dump
+        # a few terms' worth a write, never the whole text joined
+        assert len(dump) > 100_000
+        assert max(map(len, recorder.writes)) <= 4096
 
 
 def test_group_round_trip():
@@ -400,6 +436,14 @@ def test_integers_past_the_digit_limit_end_in_the_contract(capsys):
             (["decompose", "--group", "C2", "--fn",
               '[{"word": {"entries": {"-5": 1, "%s": 1}}, "coeff": 1}]' % ("9" * 4300)],
              "LampkError"),
+            # emitted: the witness and the first canonical term print, and the
+            # last sorted term's coefficient is two 4 300-digit ones added up
+            (["decompose", "--group", "C2", "--fn",
+              "[%s, %s, %s]" % (
+                  term % (0, 1),
+                  '{"word": {"entries": {"0": 1, "5": 1}}, "coeff": %s}' % ("9" * 4300),
+                  '{"word": {"entries": {"1": 1, "6": 1}}, "coeff": %s}' % ("9" * 4300))],
+             "LampkError"),
             # refused before computing: 2^14 285 has 4 301 digits
             (["trace-image", "--group", "C2", "--level", "14285"], "BudgetError"),
         ]
@@ -448,17 +492,23 @@ def test_json_nested_past_the_recursion_limit_is_a_domain_error(capsys, argv):
 
 
 def test_closed_stdout_ends_in_the_contract():
-    # 8 193 words print as about 1 MB, past any pipe buffer, so the writer
-    # is still writing when the reader goes away after 100 bytes
-    argv = [sys.executable, "-m", "lampk.cli", "orbits", "--group", "C2", "--max-len", "14"]
+    # 8 193 words, or the 6 561 terms of a C3 cylinder with 8 trivial pins,
+    # print as about 1 MB, past any pipe buffer, so the writer is still
+    # writing when the reader goes away after 100 bytes
+    spec = json.dumps({str(p): 0 for p in range(8)})
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    assert len(proc.stdout.read(100)) == 100
-    proc.stdout.close()
-    err = proc.stderr.read().decode()
-    assert proc.wait(timeout=30) == 1
-    assert "Traceback" not in err
-    assert json.loads(err)["error"]["type"] == "BrokenPipeError"
+    for args in (
+        ["orbits", "--group", "C2", "--max-len", "14"],
+        ["cylinder-expand", "--group", "C3", "--spec", spec],
+    ):
+        argv = [sys.executable, "-m", "lampk.cli", *args]
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=30) == 1
+        assert "Traceback" not in err
+        assert json.loads(err)["error"]["type"] == "BrokenPipeError"
 
 
 @pytest.mark.parametrize(

@@ -27,7 +27,6 @@ _EXPORTS = {
     "GroupDataError": "errors",
     "GroupRepData": "grouprep",
     "LampkError": "errors",
-    "LevelVector": "colimitk",
     "NonAbelianGroupError": "errors",
     "TruncationError": "errors",
     "Word": "shiftwords",

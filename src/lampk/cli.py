@@ -78,6 +78,7 @@ def _load_chain(path_or_json: str, group: GroupRepData):
     must index an irrep of the group.
     """
     from . import jsonio
+    from .shiftwords import check_alphabet
 
     text = path_or_json.strip()
     if not text.startswith("["):
@@ -88,13 +89,7 @@ def _load_chain(path_or_json: str, group: GroupRepData):
             raise UsageError(f"--fn: not a readable chain file: {exc}") from exc
         check_budget("reading the --fn file", len(text), MAX_CHAIN_FILE_CHARS, "characters")
     chain = jsonio.chain_from_json(_parse_json_arg("--fn", text))
-    for word in chain:
-        for _, idx in word.entries:
-            if idx >= group.num_irreps:
-                raise LampkError(
-                    f"word entry {idx} out of range for {group.name} "
-                    f"({group.num_irreps} irreps)"
-                )
+    check_alphabet(group, chain)
     return chain
 
 
@@ -228,7 +223,7 @@ def cmd_pv_check(args) -> int:
             "window": report.window,
             "seed": report.seed,
             "passed": report.passed,
-            "counterexamples": report.counterexample_count(),
+            "counterexamples": report.counterexamples,
         }
     )
     return 0 if report.passed else 1

@@ -26,27 +26,10 @@ from typing import NamedTuple
 from . import intdet
 from .errors import LampkError, TruncationError, check_budget
 from .grouprep import GroupRepData
-from .sparse import SparseIntVector
 
 MAX_CERTIFICATE_COLUMNS = 100_000
 
 IrrepTuple = tuple[int, ...]
-
-
-class LevelVector(SparseIntVector):
-    """Integer combination of level tuples; the level is the tuple length."""
-
-    def __init__(self, data=()):
-        super().__init__(data)
-        for t in self._coeffs:
-            if not isinstance(t, tuple) or len(t) == 0:
-                raise LampkError(f"level keys must be nonempty tuples, got {t!r}")
-
-    def terms(self) -> list[tuple[IrrepTuple, int]]:
-        return sorted(self._coeffs.items(), key=lambda kv: (len(kv[0]), kv[0]))
-
-    def max_level(self) -> int:
-        return max((len(t) for t in self._coeffs), default=0)
 
 
 def tuple_dim(group: GroupRepData, t: IrrepTuple) -> int:
@@ -57,18 +40,28 @@ def tuple_dim(group: GroupRepData, t: IrrepTuple) -> int:
     return d
 
 
-def f_apply(group: GroupRepData, vec: LevelVector, levels: int) -> LevelVector:
-    """Induction map on a vector supported on levels 1..levels-1.
+def f_apply(
+    group: GroupRepData, vec: dict[IrrepTuple, int], levels: int
+) -> dict[IrrepTuple, int]:
+    """Induction map on a vector supported on levels 1..levels-1, given as a
+    dict {level tuple: coefficient}; the image, a dict with no zero
+    coefficient, lives on levels 1..levels.
 
-    Linear over the basis rule above; the image lives on levels 1..levels.
-    Equivalently, pointwise: the coefficient at a tuple t of level n >= 2
-    picks up -dims[t[-1]] times the input coefficient at its projection.
+    Linear over the basis rule above.  Equivalently, pointwise: the
+    coefficient at a tuple t of level n >= 2 picks up -dims[t[-1]] times
+    the input coefficient at its projection.
     """
     if levels < 2:
         raise LampkError(f"levels must be >= 2, got {levels}")
-    if vec.max_level() > levels - 1:
+    top = 0
+    for t, c in vec.items():
+        if not isinstance(t, tuple) or len(t) == 0:
+            raise LampkError(f"level keys must be nonempty tuples, got {t!r}")
+        if c and len(t) > top:
+            top = len(t)
+    if top > levels - 1:
         raise TruncationError(
-            f"input supported at level {vec.max_level()}, "
+            f"input supported at level {top}, "
             f"but the truncation admits inputs only up to level {levels - 1}"
         )
     out: dict[IrrepTuple, int] = {}
@@ -84,7 +77,7 @@ def f_apply(group: GroupRepData, vec: LevelVector, levels: int) -> LevelVector:
         bump(t, c)
         for sigma, d in enumerate(group.dims):
             bump((*t, sigma), -c * d)
-    return LevelVector(out)
+    return out
 
 
 def level_tuples(group: GroupRepData, level: int):
@@ -136,7 +129,7 @@ def claim_matrix(group: GroupRepData, levels: int) -> list[list[tuple[int, int]]
     rows = [t for n in range(1, levels + 1) for t in level_tuples(group, n)]
     row_index = {t: i for i, t in enumerate(rows)}
     columns = [
-        [(row_index[s], c) for s, c in f_apply(group, LevelVector.of(t), levels).items()]
+        [(row_index[s], c) for s, c in f_apply(group, {t: 1}, levels).items()]
         for t in rows
         if len(t) < levels
     ]

@@ -142,15 +142,14 @@ def chain_pieces(chain: ZChain, indent: str = ""):
     re-indented copy.  The digit limit is checked when this is called, so a
     chain that cannot be written raises ValueError before the first piece;
     the pieces are made as they are taken, and are ASCII."""
-    terms = chain.terms()
-    _check_digits(map(itemgetter(0), terms), map(itemgetter(1), terms))
+    _check_digits(chain, map(itemgetter(1), chain.items()))
     n = "\n" + indent
     entries_text = _entries_writer(n + "      ")
     return _array_pieces(
         (
             f'  {{{n}    "word": {{{n}      {entries_text(word.entries)}{n}    }},{n}'
             f'    "coeff": {coeff}{n}  }}'
-            for word, coeff in terms
+            for word, coeff in chain.terms()
         ),
         n,
     )

@@ -17,7 +17,7 @@ from typing import Callable
 
 from . import DEFAULT_SEED, intdet, zchain
 from .colimitk import (
-    LevelVector, claim_check, complement_tuples, f_apply, level_tuples, tuple_dim,
+    claim_check, complement_tuples, f_apply, level_tuples, tuple_dim,
 )
 from .fullshift import (
     beta_eval,
@@ -130,7 +130,7 @@ def check_pv_bookkeeping() -> str:
         report = pv_check(builtin(name), samples=1000, window=4, seed=DEFAULT_SEED)
         _require(
             report.passed,
-            f"{name}: {report.counterexample_count()} counterexamples",
+            f"{name}: {report.counterexamples} counterexamples",
         )
     return "1000 chains per group, window 4: no counterexamples"
 
@@ -177,7 +177,7 @@ def check_assembly_correspondence() -> str:
                 expected = Fraction(tuple_dim(group, t), group.order**n)
                 _require(trace == expected, f"{name}: Phi{t} has trace {trace}")
                 if n < levels:
-                    induced = f_apply(group, LevelVector.of(t), levels)
+                    induced = f_apply(group, {t: 1}, levels)
                     _require(not _phi(group, induced.items()), f"{name}: Phi keeps f_apply{t}")
                 if t in complement:
                     longer = all(len(w.entries) > len(word.entries) for w in image if w != word)

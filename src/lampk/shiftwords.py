@@ -122,6 +122,16 @@ def _trusted_word(items: tuple) -> Word:
     return word
 
 
+def check_alphabet(group: GroupRepData, words: Iterable[Word]) -> None:
+    """Raise LampkError unless every entry of these words indexes an irrep
+    of the group."""
+    r = group.num_irreps
+    for word in words:
+        for _, idx in word.entries:
+            if idx >= r:
+                raise LampkError(f"word entry {idx} out of range for {group.name} ({r} irreps)")
+
+
 def shift(word: Word, k: int) -> Word:
     """Translate the word k steps: the entry at p moves to p + k."""
     if k == 0 or word.is_empty:

@@ -18,15 +18,87 @@ from typing import NamedTuple
 from .errors import LampkError, check_budget
 from .grouprep import GroupRepData
 from .shiftwords import Word, _trusted_word, canonicalize, shift
-from .sparse import SparseIntVector
 
 
-class ZChain(SparseIntVector):
-    """Finite integer combination of words; coefficients arbitrary ints."""
+class ZChain:
+    """Finite integer combination of words; coefficients arbitrary ints.
 
-    def terms(self) -> list[tuple[Word, int]]:
-        """(word, coefficient) pairs in the deterministic word order."""
-        return sorted(self._coeffs.items(), key=lambda kv: kv[0].sort_key())
+    Zero coefficients are never stored, so equal dicts are equal chains.
+    """
+
+    __slots__ = ("_coeffs",)
+
+    def __init__(self, terms=()):
+        """The sum of the (word, coefficient) pairs; repeated words add up."""
+        coeffs = {}
+        for word, c in terms:
+            c = int(c)
+            if c == 0:
+                continue
+            total = coeffs.get(word, 0) + c
+            if total:
+                coeffs[word] = total
+            else:
+                del coeffs[word]
+        self._coeffs = coeffs
+
+    @classmethod
+    def of(cls, word: Word, coeff: int = 1) -> ZChain:
+        return cls(((word, coeff),))
+
+    def coeff(self, word: Word) -> int:
+        return self._coeffs.get(word, 0)
+
+    def items(self):
+        return self._coeffs.items()
+
+    def __iter__(self):
+        return iter(self._coeffs)
+
+    def __len__(self) -> int:
+        return len(self._coeffs)
+
+    def __contains__(self, word) -> bool:
+        return word in self._coeffs
+
+    def __add__(self, other):
+        if not isinstance(other, ZChain):
+            return NotImplemented
+        out = dict(self._coeffs)
+        for word, c in other._coeffs.items():
+            total = out.get(word, 0) + c
+            if total:
+                out[word] = total
+            else:
+                del out[word]
+        return _trusted_chain(out)
+
+    def __sub__(self, other):
+        if not isinstance(other, ZChain):
+            return NotImplemented
+        return self + (-other)
+
+    def __neg__(self) -> ZChain:
+        return _trusted_chain({w: -c for w, c in self._coeffs.items()})
+
+    def __mul__(self, n: int):
+        if not isinstance(n, int):
+            return NotImplemented
+        return _trusted_chain({w: n * c for w, c in self._coeffs.items()} if n else {})
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ZChain):
+            return NotImplemented
+        return self._coeffs == other._coeffs
+
+    def terms(self):
+        """(word, coefficient) pairs in the deterministic word order, made as
+        they are taken: only the words are sorted, no list of pairs is built."""
+        coeffs = self._coeffs
+        for word in sorted(coeffs, key=Word.sort_key):
+            yield word, coeffs[word]
 
     def __repr__(self) -> str:
         if not self._coeffs:
@@ -35,11 +107,20 @@ class ZChain(SparseIntVector):
         return f"ZChain<{body}>"
 
 
+def _trusted_chain(coeffs: dict) -> ZChain:
+    """The chain with these coefficients, which must all be nonzero ints:
+    no pass through ZChain.__init__."""
+    chain = object.__new__(ZChain)
+    chain._coeffs = coeffs
+    return chain
+
+
 def alpha(chain: ZChain, k: int = 1) -> ZChain:
     """The shift applied to every basis word (k-fold; k may be negative)."""
     if k == 0:
         return chain
-    return chain.map_keys(lambda w: shift(w, k))
+    # the shift is injective on words, so no two terms merge
+    return _trusted_chain({shift(w, k): c for w, c in chain.items()})
 
 
 def is_invariant(chain: ZChain) -> bool:
@@ -49,7 +130,7 @@ def is_invariant(chain: ZChain) -> bool:
 
 # Terms one witness may stand for: a C2 word at offset 2^17 is split in
 # about 0.4 s, and `lampk decompose` on it, printing 14 MB of JSON, takes
-# about 0.7 to 1.2 s cold at 63 MB peak RSS (Python 3.11 on a 2-core Intel
+# about 0.7 to 1.0 s cold at 56 MB peak RSS (Python 3.11 on a 2-core Intel
 # Xeon).
 MAX_WITNESS_TERMS = 1 << 17
 
@@ -104,7 +185,7 @@ def coinvariant_class(chain: ZChain) -> ZChain:
 
 # Terms one projection expansion may build: C2 with 16 trivial pins
 # (65 536 terms) expands in about 0.15 s, and `lampk cylinder-expand` on it,
-# printing 15 MB of JSON, takes about 0.6 to 0.9 s cold at 44 MB peak RSS
+# printing 15 MB of JSON, takes about 0.6 to 0.8 s cold at 41 MB peak RSS
 # (Python 3.11 on a 2-core Intel Xeon).
 MAX_CYLINDER_TERMS = 1 << 16
 
@@ -148,6 +229,4 @@ def projection_chain(group: GroupRepData, pins) -> ZChain:
         terms = [(items + entry, w * v) for items, w in terms for entry, v in choices]
     # Each choice of letters is a distinct word with a nonzero weight, so
     # the terms need no merging.
-    chain = object.__new__(ZChain)
-    chain._coeffs = {_trusted_word(items): w for items, w in terms}
-    return chain
+    return _trusted_chain({_trusted_word(items): w for items, w in terms})

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from lampk import intdet
 from lampk.colimitk import (
     MAX_CERTIFICATE_COLUMNS,
-    LevelVector,
     claim_check,
     claim_matrix,
     complement_tuples,
@@ -16,7 +15,7 @@ from lampk.colimitk import (
     total_size,
     tuple_dim,
 )
-from lampk.errors import BudgetError, GroupDataError, TruncationError
+from lampk.errors import BudgetError, GroupDataError, LampkError, TruncationError
 from lampk.grouprep import GroupRepData, builtin
 
 
@@ -43,48 +42,55 @@ def test_tuple_dim():
 
 def test_f_apply_c2_example():
     c2 = builtin("C2")
-    out = f_apply(c2, LevelVector.of((0,)), levels=2)
-    assert out == LevelVector({(0,): 1, (0, 0): -1, (0, 1): -1})
+    out = f_apply(c2, {(0,): 1}, levels=2)
+    assert out == {(0,): 1, (0, 0): -1, (0, 1): -1}
 
 
 def test_f_apply_s3_example():
     s3 = builtin("S3")
-    out = f_apply(s3, LevelVector.of((2,)), levels=2)
-    assert out == LevelVector(
-        {(2,): 1, (2, 0): -1, (2, 1): -1, (2, 2): -2}
-    )
+    out = f_apply(s3, {(2,): 1}, levels=2)
+    assert out == {(2,): 1, (2, 0): -1, (2, 1): -1, (2, 2): -2}
     # induced dimension bookkeeping: 2 * 6 = 2 + 2 + 8
-    induced = -(out - LevelVector.of((2,)))
+    induced = {t: -c for t, c in out.items() if t != (2,)}
     assert sum(c * tuple_dim(s3, t) for t, c in induced.items()) == 2 * 6
 
 
 def test_f_apply_linear_and_guarded():
     c2 = builtin("C2")
-    assert f_apply(c2, LevelVector(), levels=3) == LevelVector()
-    a = LevelVector.of((0,), 2)
-    b = LevelVector.of((1, 1), -3)
-    assert f_apply(c2, a + b, levels=3) == f_apply(c2, a, levels=3) + f_apply(
-        c2, b, levels=3
-    )
-    with pytest.raises(TruncationError):
-        f_apply(c2, LevelVector.of((0, 0, 0)), levels=3)
+    assert f_apply(c2, {}, levels=3) == {}
+    a = {(0,): 2}
+    b = {(1, 1): -3}
+    fa, fb = f_apply(c2, a, levels=3), f_apply(c2, b, levels=3)
+    total = {t: fa.get(t, 0) + fb.get(t, 0) for t in fa.keys() | fb.keys()}
+    assert f_apply(c2, a | b, levels=3) == total
+    # an input term cancelling an image term leaves no zero coefficient
+    assert f_apply(c2, {(0,): 1, (0, 0): 1}, levels=3) == {
+        (0,): 1, (0, 1): -1, (0, 0, 0): -1, (0, 0, 1): -1,
+    }
+    assert f_apply(c2, {(0, 0, 0): 0, (1,): 1}, levels=3) == f_apply(c2, {(1,): 1}, levels=3)
+    with pytest.raises(TruncationError, match="supported at level 3"):
+        f_apply(c2, {(0, 0, 0): 1}, levels=3)
+    with pytest.raises(TruncationError, match="supported at level 4"):
+        f_apply(c2, {(1,): 1, (0, 1, 0, 1): -2}, levels=3)
+    for key in ((), 0, "0", None):
+        with pytest.raises(LampkError, match="level keys must be nonempty tuples"):
+            f_apply(c2, {key: 1}, levels=3)
+    with pytest.raises(LampkError, match="levels must be >= 2"):
+        f_apply(c2, {(0,): 1}, levels=1)
 
 
 def test_f_apply_matches_pointwise_formula():
     # coefficient at t (level >= 2) is phi(t) - phi(r(t)) * dims[t[-1]]
     s3 = builtin("S3")
-    phi = (
-        LevelVector.of((1,), 2)
-        + LevelVector.of((2, 0), -1)
-        + LevelVector.of((2, 2), 5)
-    )
+    phi = {(1,): 2, (2, 0): -1, (2, 2): 5}
     out = f_apply(s3, phi, levels=3)
     for n in (1, 2, 3):
         for t in level_tuples(s3, n):
-            expected = phi.coeff(t) if n <= 2 else 0
+            expected = phi.get(t, 0) if n <= 2 else 0
             if n >= 2:
-                expected -= phi.coeff(t[:-1]) * s3.dims[t[-1]]
-            assert out.coeff(t) == expected, t
+                expected -= phi.get(t[:-1], 0) * s3.dims[t[-1]]
+            assert out.get(t, 0) == expected, t
+    assert 0 not in out.values()
 
 
 def test_f_apply_agrees_with_claim_matrix_columns():
@@ -95,9 +101,9 @@ def test_f_apply_agrees_with_claim_matrix_columns():
         col = 0
         for n in range(1, levels):
             for t in level_tuples(g, n):
-                image = f_apply(g, LevelVector.of(t), levels)
+                image = f_apply(g, {t: 1}, levels)
                 for i, row_tuple in enumerate(rows):
-                    assert matrix[i][col] == image.coeff(row_tuple)
+                    assert matrix[i][col] == image.get(row_tuple, 0)
                 col += 1
 
 
@@ -110,10 +116,10 @@ def test_injectivity_on_embedded_rows_exhaustive():
         for coeffs in product((-1, 0, 1), repeat=len(domain)):
             if not any(coeffs):
                 continue
-            phi = LevelVector(zip(domain, coeffs))
+            phi = dict(zip(domain, coeffs))
             image = f_apply(c2, phi, levels)
             embedded = [
-                image.coeff(t)
+                image.get(t, 0)
                 for n in range(2, levels + 1)
                 for t in level_tuples(c2, n)
                 if t[-1] == 0

@@ -136,6 +136,6 @@ def test_pv_check_passes_and_is_deterministic():
     r1 = pv_check(g, samples=200, window=3, seed=11)
     r2 = pv_check(g, samples=200, window=3, seed=11)
     assert r1.passed and r2.passed
-    assert r1.counterexample_count() == 0
+    assert r1.counterexamples == 0 and r1 == r2
     assert (r1.group, r1.samples, r1.window, r1.seed) == ("C2", 200, 3, 11)
     assert pv_check(builtin("S3"), samples=100, window=2, seed=5).passed

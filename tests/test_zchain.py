@@ -7,7 +7,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from lampk import intdet, zchain
-from lampk.colimitk import LevelVector, complement_tuples, f_apply, level_tuples, tuple_dim
+from lampk.colimitk import complement_tuples, f_apply, level_tuples, tuple_dim
 from lampk.errors import GroupDataError, LampkError
 from lampk.fullshift import cylinder_to_chain
 from lampk.grouprep import _CATALOG, GroupRepData, builtin
@@ -40,6 +40,27 @@ def test_group_arithmetic():
     assert x * 3 + (-x) == x * 2
     assert not ZChain()
     assert (x - x).coeff(Word({0: 1})) == 0
+
+
+terms_st = st.lists(st.tuples(words_st, st.integers(-9, 9)), max_size=5)
+
+
+@given(chains_st, chains_st, terms_st)
+def test_group_laws(x, y, terms):
+    zero = ZChain()
+    assert x + (-x) == zero
+    assert (x + y) - y == x
+    assert x - y == x + (-y) == -(y - x)
+    assert 0 * x == x * 0 == zero
+    assert 3 * x == x + x + x
+    # repeated words add up, and a word summing to 0 is dropped
+    chain = ZChain(terms)
+    for word in {w for w, _ in terms}:
+        assert chain.coeff(word) == sum(c for w, c in terms if w == word)
+    assert ZChain(terms + [(w, -c) for w, c in terms]) == zero
+    for z in (x, y, chain, x + y, x - y, -x, 2 * x, x * -3):
+        assert all(type(c) is int and c != 0 for _, c in z.items())
+        assert len(z) == len(list(z)) == sum(1 for _ in z.terms())
 
 
 def test_alpha():
@@ -249,7 +270,7 @@ def _phi(group, t):
 @given(group_and_tuple_st())
 def test_phi_kills_the_induction_map(case):
     group, t = case
-    image = f_apply(group, LevelVector.of(t), len(t) + 1)
+    image = f_apply(group, {t: 1}, len(t) + 1)
     assert sum((c * _phi(group, s) for s, c in image.items()), ZChain()) == ZChain()
 
 

@@ -1,28 +1,24 @@
 """Command-line interface.
 
 stdout carries the JSON result (the stable contract); human diagnostics go
-to stderr.  Exit codes: 0 success, 1 domain error or stdout closed by its
-reader (machine-readable JSON on stderr), 2 usage error, 3 selfcheck stopped
-by its time budget.  Rationals are emitted as {"num", "den"} objects; no
-numeric output is ever a float.
+to stderr.  Exit codes: 0 success; 1 a domain error or stdout closed by its
+reader (machine-readable JSON on stderr), or a failed check (pv-check found
+a counterexample, or a selfcheck criterion failed); 2 usage error; 3
+selfcheck stopped by its time budget.  Rationals are emitted as {"num",
+"den"} objects; no numeric output is ever a float.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
 from . import BOUNDARY_IDENTITY, DEFAULT_SEED
 from .errors import LampkError, check_budget
 from .grouprep import GroupRepData, builtin, csalgebras_isomorphic_abelian_case, fingerprint
-
-# Each handler imports the modules it runs when it runs, so a subcommand
-# loads only its own code.  Handlers read functions off their modules at
-# call time, never at import, so a function replaced on its module (as a
-# tracer does) is the one called.
-
 
 class UsageError(Exception):
     pass
@@ -93,7 +89,7 @@ def _load_chain(path_or_json: str, group: GroupRepData):
     return chain
 
 
-def _emit(payload: dict, fmt: str = "json", table_lines=None) -> None:
+def _emit(payload: dict) -> None:
     """Print the payload as ``json.dumps(payload, indent=2, ensure_ascii=False)``
     would, with each ZChain value written as its chain JSON and each list of
     Words as its word list JSON.
@@ -106,10 +102,6 @@ def _emit(payload: dict, fmt: str = "json", table_lines=None) -> None:
     name cannot be), and the chain and word writers check the digit limit
     when called.  Their text is ASCII, so it needs no encoding check.
     """
-    if fmt == "table" and table_lines is not None:
-        for line in table_lines:
-            print(line)
-        return
     stdout = sys.stdout
     # A ZChain or a Word exists only once its module is loaded, so look it
     # up rather than import it on every subcommand's path.
@@ -155,27 +147,34 @@ def _word_table(words):
         yield f"{i:>5}  {w.window_length():>6}  {entries}"
 
 
-def cmd_fingerprint(args) -> int:
-    group = _parse_group(args.group)
+# Each handler takes the parsed arguments and the parsed --group (None for
+# selfcheck) and returns (payload, exit code); main prints the payload.  A
+# handler imports the modules it runs when it runs, so a subcommand loads
+# only its own code, and reads functions off their modules at call time,
+# never at import, so a function replaced on its module (as a tracer does)
+# is the one called.
+
+
+def cmd_fingerprint(args, group):
     order, dims, abelian_order = fingerprint(group)
-    _emit({"order": order, "dims": list(dims), "abelian_order": abelian_order})
-    return 0
+    return {"order": order, "dims": list(dims), "abelian_order": abelian_order}, 0
 
 
-def cmd_classify(args) -> int:
-    g1 = _parse_group(args.group)
-    g2 = _parse_group(args.other)
-    decision = csalgebras_isomorphic_abelian_case(g1, g2)
-    _emit({"groups": [g1.name, g2.name], "decision": decision})
-    return 0
+def cmd_classify(args, group):
+    other = _parse_group(args.other)
+    decision = csalgebras_isomorphic_abelian_case(group, other)
+    return {"groups": [group.name, other.name], "decision": decision}, 0
 
 
-def cmd_words(args) -> int:
+def cmd_words(args, group):
     """orbits and k0-basis: the canonical words, which are the K0 basis too."""
     from .shiftwords import enumerate_canonical
 
-    group = _parse_group(args.group)
     words = enumerate_canonical(group, args.max_len)
+    if args.format == "table":
+        for line in _word_table(words):
+            print(line)
+        return None, 0
     payload = {"group": group.name, "max_len": args.max_len, "count": len(words)}
     if args.command == "orbits":
         payload["words"] = words
@@ -184,139 +183,108 @@ def cmd_words(args) -> int:
         # a theorem (zchain.projection_chain is unitriangular), checked by
         # acceptance criterion 5, not recomputed on every call
         payload["sides_identical"] = True
-    table = _word_table(words) if args.format == "table" else None
-    _emit(payload, args.format, table)
-    return 0
+    return payload, 0
 
 
-def cmd_k1(args) -> int:
-    _parse_group(args.group)  # validated, but K1 is the same for every F
-    _emit({"K1": "Z", "generator": "[u]", "boundary": BOUNDARY_IDENTITY})
-    return 0
+def cmd_k1(args, group):
+    # the group is validated, but K1 is the same for every F
+    return {"K1": "Z", "generator": "[u]", "boundary": BOUNDARY_IDENTITY}, 0
 
 
-def cmd_claim_check(args) -> int:
+def cmd_claim_check(args, group):
     from .colimitk import claim_check
 
-    group = _parse_group(args.group)
     cert = claim_check(group, args.levels)
-    _emit(
-        {
-            "size": cert.size,
-            "det": cert.det,
-            "holds": cert.holds,
-            "elapsed_ms": cert.elapsed_ms,
-        }
-    )
-    return 0
+    return {
+        "size": cert.size,
+        "det": cert.det,
+        "holds": cert.holds,
+        "elapsed_ms": cert.elapsed_ms,
+    }, 0
 
 
-def cmd_pv_check(args) -> int:
+def cmd_pv_check(args, group):
     from .lamplighterk import pv_check
 
-    group = _parse_group(args.group)
     report = pv_check(group, samples=args.samples, window=args.window, seed=args.seed)
-    _emit(
-        {
-            "group": report.group,
-            "samples": report.samples,
-            "window": report.window,
-            "seed": report.seed,
-            "passed": report.passed,
-            "counterexamples": report.counterexamples,
-        }
-    )
-    return 0 if report.passed else 1
+    return {
+        "group": report.group,
+        "samples": report.samples,
+        "window": report.window,
+        "seed": report.seed,
+        "passed": report.passed,
+        "counterexamples": report.counterexamples,
+    }, 0 if report.passed else 1
 
 
-def cmd_trace(args) -> int:
+def cmd_trace(args, group):
     from . import jsonio
     from .lamplighterk import trace_of_word
 
-    group = _parse_group(args.group)
     word = jsonio.word_from_json(_parse_json_arg("--word", args.word))
     value = trace_of_word(group, word)
-    _emit(
-        {
-            "group": group.name,
-            "word": jsonio.word_to_json(word),
-            "trace": jsonio.fraction_to_json(value),
-        }
-    )
-    return 0
+    return {
+        "group": group.name,
+        "word": jsonio.word_to_json(word),
+        "trace": jsonio.fraction_to_json(value),
+    }, 0
 
 
-def cmd_trace_image(args) -> int:
+def cmd_trace_image(args, group):
     from . import jsonio
     from .lamplighterk import trace_image_level
 
-    group = _parse_group(args.group)
     generator = trace_image_level(group, args.level)
-    _emit(
-        {
-            "group": group.name,
-            "level": args.level,
-            "generator": jsonio.fraction_to_json(generator),
-        }
-    )
-    return 0
+    return {
+        "group": group.name,
+        "level": args.level,
+        "generator": jsonio.fraction_to_json(generator),
+    }, 0
 
 
-def cmd_decompose(args) -> int:
+def cmd_decompose(args, group):
     from .fullshift import coboundary_decompose
 
-    group = _parse_group(args.group)
     chain = _load_chain(args.fn, group)
     witness, canonical = coboundary_decompose(group, chain)
-    _emit(
-        {
-            "group": group.name,
-            "witness": witness,
-            "canonical": canonical,
-        }
-    )
-    return 0
+    return {
+        "group": group.name,
+        "witness": witness,
+        "canonical": canonical,
+    }, 0
 
 
-def cmd_livsic(args) -> int:
+def cmd_livsic(args, group):
     from .fullshift import livsic_check
 
-    group = _parse_group(args.group)
     chain = _load_chain(args.fn, group)
     report = livsic_check(group, chain, max_period=args.max_period)
-    _emit(
-        {
-            "group": group.name,
-            "is_coboundary": report.is_coboundary_exact,
-            "periodic_sums_vanish": report.periodic_sums_vanish,
-            "max_period_checked": report.max_period_checked,
-            "violating_orbit": (
-                list(report.violating_orbit)
-                if report.violating_orbit is not None
-                else None
-            ),
-            "violating_sum": report.violating_sum,
-        }
-    )
-    return 0
+    return {
+        "group": group.name,
+        "is_coboundary": report.is_coboundary_exact,
+        "periodic_sums_vanish": report.periodic_sums_vanish,
+        "max_period_checked": report.max_period_checked,
+        "violating_orbit": report.violating_orbit,  # a tuple prints as a list
+        "violating_sum": report.violating_sum,
+    }, 0
 
 
-def cmd_cylinder_expand(args) -> int:
+def cmd_cylinder_expand(args, group):
     from . import jsonio
     from .fullshift import cylinder_to_chain
 
-    group = _parse_group(args.group)
     raw = _parse_json_arg("--spec", args.spec)
     if not isinstance(raw, dict):
         raise UsageError("--spec: expected an object of position -> value")
     chain = cylinder_to_chain(group, jsonio.pins_from_json(raw))
-    _emit({"group": group.name, "chain": chain})
-    return 0
+    return {"group": group.name, "chain": chain}, 0
 
 
-def cmd_selfcheck(args) -> int:
+def cmd_selfcheck(args, group):
     from . import selfcheck
 
+    if math.isnan(args.budget):
+        raise UsageError("--budget: expected a number of seconds, got nan")
     results = selfcheck.run_all(budget_s=args.budget)
     for res in results:
         print(
@@ -331,16 +299,45 @@ def cmd_selfcheck(args) -> int:
         ],
     }
     if any(r.status == "fail" for r in results):
-        payload["status"] = "fail"
-        code = 1
-    elif any(r.status == "skipped" for r in results):
-        payload["status"] = "incomplete"
-        code = 3
-    else:
-        payload["status"] = "pass"
-        code = 0
-    _emit(payload)
-    return code
+        return {**payload, "status": "fail"}, 1
+    if any(r.status == "skipped" for r in results):
+        return {**payload, "status": "incomplete"}, 3
+    return {**payload, "status": "pass"}, 0
+
+
+_GROUP = ("--group", {"required": True})
+_FN = ("--fn", {"required": True, "help": "chain JSON file (or inline JSON)"})
+_WORDS = [_GROUP, ("--max-len", {"type": int, "required": True}),
+          ("--format", {"choices": ("json", "table"), "default": "json"})]
+
+# The subcommands in help order: name -> (handler, help, [(flag, keywords of
+# add_argument)]).
+COMMANDS = {
+    "fingerprint": (cmd_fingerprint, "(|F|, sorted dims, |F^ab|)", [_GROUP]),
+    "classify": (cmd_classify, "C*-algebra isomorphism decision", [
+        _GROUP, ("--other", {"required": True})]),
+    "orbits": (cmd_words, "canonical orbit representatives", _WORDS),
+    "k0-basis": (cmd_words, "K0 basis words (both sides coincide)", _WORDS),
+    "k1": (cmd_k1, "K1 report", [_GROUP]),
+    "claim-check": (cmd_claim_check, "direct-sum certificate", [
+        _GROUP, ("--levels", {"type": int, "required": True})]),
+    "pv-check": (cmd_pv_check, "kernel/cokernel property test", [
+        _GROUP,
+        ("--samples", {"type": int, "default": 1000}),
+        ("--window", {"type": int, "default": 4}),
+        ("--seed", {"type": int, "default": DEFAULT_SEED})]),
+    "trace": (cmd_trace, "trace of a word's projection class", [
+        _GROUP, ("--word", {"required": True, "help": 'entries JSON, e.g. {"0":1,"3":1}'})]),
+    "trace-image": (cmd_trace_image, "trace image generator at a level", [
+        _GROUP, ("--level", {"type": int, "required": True})]),
+    "decompose": (cmd_decompose, "coboundary + canonical splitting", [_GROUP, _FN]),
+    "livsic": (cmd_livsic, "periodic-orbit coboundary test", [
+        _GROUP, _FN, ("--max-period", {"type": int})]),
+    "cylinder-expand": (cmd_cylinder_expand, "full cylinder as a chain", [
+        _GROUP, ("--spec", {"required": True, "help": 'constraints JSON, e.g. {"0":0,"1":1}'})]),
+    "selfcheck": (cmd_selfcheck, "run the acceptance criteria", [
+        ("--budget", {"type": float, "default": 300.0, "help": "seconds"})]),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -351,65 +348,11 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, **help_kw):
-        p = sub.add_parser(name, **help_kw)
-        p.set_defaults(handler=fn)
-        return p
-
-    p = add("fingerprint", cmd_fingerprint, help="(|F|, sorted dims, |F^ab|)")
-    p.add_argument("--group", required=True)
-
-    p = add("classify", cmd_classify, help="C*-algebra isomorphism decision")
-    p.add_argument("--group", required=True)
-    p.add_argument("--other", required=True)
-
-    for name, helptext in (
-        ("orbits", "canonical orbit representatives"),
-        ("k0-basis", "K0 basis words (both sides coincide)"),
-    ):
-        p = add(name, cmd_words, help=helptext)
-        p.add_argument("--group", required=True)
-        p.add_argument("--max-len", type=int, required=True, dest="max_len")
-        p.add_argument("--format", choices=("json", "table"), default="json")
-
-    p = add("k1", cmd_k1, help="K1 report")
-    p.add_argument("--group", required=True)
-
-    p = add("claim-check", cmd_claim_check, help="direct-sum certificate")
-    p.add_argument("--group", required=True)
-    p.add_argument("--levels", type=int, required=True)
-
-    p = add("pv-check", cmd_pv_check, help="kernel/cokernel property test")
-    p.add_argument("--group", required=True)
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--window", type=int, default=4)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-
-    p = add("trace", cmd_trace, help="trace of a word's projection class")
-    p.add_argument("--group", required=True)
-    p.add_argument("--word", required=True, help='entries JSON, e.g. {"0":1,"3":1}')
-
-    p = add("trace-image", cmd_trace_image, help="trace image generator at a level")
-    p.add_argument("--group", required=True)
-    p.add_argument("--level", type=int, required=True)
-
-    p = add("decompose", cmd_decompose, help="coboundary + canonical splitting")
-    p.add_argument("--group", required=True)
-    p.add_argument("--fn", required=True, help="chain JSON file (or inline JSON)")
-
-    p = add("livsic", cmd_livsic, help="periodic-orbit coboundary test")
-    p.add_argument("--group", required=True)
-    p.add_argument("--fn", required=True, help="chain JSON file (or inline JSON)")
-    p.add_argument("--max-period", type=int, default=None, dest="max_period")
-
-    p = add("cylinder-expand", cmd_cylinder_expand, help="full cylinder as a chain")
-    p.add_argument("--group", required=True)
-    p.add_argument("--spec", required=True, help='constraints JSON, e.g. {"0":0,"1":1}')
-
-    p = add("selfcheck", cmd_selfcheck, help="run the acceptance criteria")
-    p.add_argument("--budget", type=float, default=300.0, help="seconds")
-
+    for name, (handler, helptext, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=helptext)
+        p.set_defaults(handler=handler)
+        for flag, keywords in flags:
+            p.add_argument(flag, **keywords)
     return parser
 
 
@@ -423,7 +366,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.handler(args)
+        text = getattr(args, "group", None)
+        payload, code = args.handler(args, None if text is None else _parse_group(text))
+        if payload is not None:
+            _emit(payload)
         sys.stdout.flush()
         return code
     except UsageError as exc:

@@ -35,6 +35,21 @@ class BudgetError(LampkError):
     """A computation would exceed one of the package's size limits."""
 
 
+def exact_int(value, what: str) -> int:
+    """The integer ``value`` denotes, read as int() reads it; a bool, or a
+    number int() would truncate, is an error.  A string of digits (a JSON
+    object key) is read as its integer."""
+    if type(value) is int:
+        return value
+    try:
+        n = int(value)
+        if isinstance(value, bool) or (not isinstance(value, str) and n != value):
+            raise ValueError
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise LampkError(f"{what} must be an integer, got {value!r}") from exc
+    return n
+
+
 def check_budget(what, work, limit, noun, *, steps=None, stated=None) -> None:
     """Raise BudgetError, before any work starts, if ``work`` is over ``limit``.
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import CatalogError, GroupDataError, check_budget
+from .errors import CatalogError, GroupDataError, check_budget, exact_int
 
 ISO = "iso"
 NOT_ISO = "not-iso"
@@ -31,7 +31,8 @@ class GroupRepData:
     __slots__ = ("name", "order", "dims", "abelian_order")
 
     def __init__(self, name: str, order: int, dims):
-        dims = tuple(int(d) for d in dims)
+        order = exact_int(order, "group order")
+        dims = tuple(exact_int(d, "irrep dimension") for d in dims)
         if order < 2:
             raise GroupDataError(f"{name!r}: order must be at least 2, got {order}")
         if not dims or dims[0] != 1:

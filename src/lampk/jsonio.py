@@ -5,9 +5,10 @@ of {"word", "coeff"} sorted in word order with the zero chain as []; a
 cylinder spec maps string positions to values ({"0": 0, "1": 1}); group
 data is {"name", "order", "dims"}; traces are emitted as {"num", "den"}.
 Chains and words re-parse to the same value, and every JSON integer is
-read through exact_int.  Chains and word lists are written as a stream of
-pieces of a few terms or words each, never as one text; the digit limit
-is checked before the first piece.
+read through errors.exact_int, by the constructors or here.  Chains and
+word lists are written as a stream of pieces of a few terms or words
+each, never as one text; the digit limit is checked before the first
+piece.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from itertools import islice
 from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING
 
-from .errors import LampkError
+from .errors import LampkError, exact_int
 from .grouprep import GroupRepData
 from .shiftwords import Word
 from .zchain import ZChain
@@ -25,24 +26,9 @@ if TYPE_CHECKING:  # fractions loads decimal, and only an annotation names it
     from fractions import Fraction
 
 
-def exact_int(value, what: str) -> int:
-    """The integer a JSON value denotes; a bool or a non-integral float is an
-    error, never truncated."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise LampkError(f"{what} must be an integer, got {value!r}")
-    try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise LampkError(f"{what} must be an integer, got {value!r}") from exc
-
-
 def group_from_json(data: dict) -> GroupRepData:
     try:
-        return GroupRepData(
-            name=str(data["name"]),
-            order=exact_int(data["order"], "group order"),
-            dims=tuple(exact_int(d, "irrep dimension") for d in data["dims"]),
-        )
+        return GroupRepData(str(data["name"]), data["order"], data["dims"])
     except (KeyError, TypeError) as exc:
         raise LampkError(f"malformed group JSON: {exc}") from exc
 
@@ -58,10 +44,7 @@ def word_from_json(data: dict) -> Word:
         items = entries.items()
     except AttributeError as exc:
         raise LampkError(f"malformed word JSON: {exc}") from exc
-    return Word(
-        (exact_int(pos, "word position"), exact_int(idx, "word entry"))
-        for pos, idx in items
-    )
+    return Word(items)
 
 
 def pins_from_json(data: dict) -> list[tuple[int, int]]:
@@ -170,10 +153,7 @@ def chain_from_json(data: list) -> ZChain:
     if not isinstance(data, list):
         raise LampkError("chain JSON must be an array of {word, coeff} objects")
     try:
-        return ZChain(
-            (word_from_json(item["word"]), exact_int(item["coeff"], "coeff"))
-            for item in data
-        )
+        return ZChain((word_from_json(item["word"]), item["coeff"]) for item in data)
     except (KeyError, TypeError) as exc:
         raise LampkError(f"malformed chain JSON: {exc}") from exc
 

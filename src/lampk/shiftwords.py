@@ -13,7 +13,7 @@ from collections.abc import Mapping
 from itertools import product
 from typing import Iterable
 
-from .errors import LampkError, check_budget
+from .errors import LampkError, check_budget, exact_int
 from .grouprep import GroupRepData
 
 
@@ -26,7 +26,7 @@ class Word:
         items = entries.items() if isinstance(entries, Mapping) else entries
         cleaned = {}
         for pos, idx in items:
-            pos, idx = int(pos), int(idx)
+            pos, idx = exact_int(pos, "word position"), exact_int(idx, "word entry")
             if idx == 0:
                 continue
             if idx < 0:

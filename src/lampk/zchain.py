@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import LampkError, check_budget
+from .errors import LampkError, check_budget, exact_int
 from .grouprep import GroupRepData
 from .shiftwords import Word, _trusted_word, canonicalize, shift
 
@@ -32,7 +32,7 @@ class ZChain:
         """The sum of the (word, coefficient) pairs; repeated words add up."""
         coeffs = {}
         for word, c in terms:
-            c = int(c)
+            c = exact_int(c, "coeff")
             if c == 0:
                 continue
             total = coeffs.get(word, 0) + c

@@ -737,3 +737,20 @@ def test_selfcheck_budget_exhaustion_is_distinct(capsys):
     # stdout carries no timings, so repeated runs are byte-identical
     code2, out2, _ = run_cli(capsys, "selfcheck", "--budget", "0")
     assert out2 == out
+
+
+@pytest.mark.parametrize("budget", ["nan", "NaN", "+nan"])
+def test_selfcheck_nan_budget_is_usage_error(capsys, budget):
+    # every comparison with NaN is false, so it would never run out
+    with pytest.raises(SystemExit) as exc:
+        main(["selfcheck", "--budget", budget])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: --budget: expected a number of seconds, got nan\n"
+
+
+def test_selfcheck_negative_budget_starts_nothing(capsys):
+    code, out, _ = run_cli(capsys, "selfcheck", "--budget", "-1")
+    assert code == 3
+    assert json.loads(out)["status"] == "incomplete"

@@ -1,8 +1,10 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lampk.errors import BudgetError, check_budget
+from lampk.errors import BudgetError, LampkError, check_budget, exact_int
 
 
 def test_plain_count():
@@ -56,3 +58,21 @@ def test_huge_step_counts_build_no_huge_integer():
     with pytest.raises(BudgetError):
         check_budget("a job", work, 2**16, "units", steps=10**100)
     assert max(sizes) <= 32
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [(3, 3), (-(2**100), -(2**100)), (3.0, 3), (1e20, 10**20), ("-7", -7), (Fraction(6, 2), 3)],
+)
+def test_exact_int_reads_integers(value, expected):
+    n = exact_int(value, "x")
+    assert n == expected and type(n) is int
+
+
+@pytest.mark.parametrize(
+    "value",
+    [True, False, 2.5, float("nan"), float("inf"), Fraction(5, 2), "1.5", "a", b"3", None, [1]],
+)
+def test_exact_int_refuses_what_int_would_truncate(value):
+    with pytest.raises(LampkError, match="^x must be an integer, got "):
+        exact_int(value, "x")

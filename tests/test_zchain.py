@@ -386,3 +386,32 @@ def test_projection_chain_refuses_bad_pins_before_any_term(monkeypatch, pins, me
     with pytest.raises(LampkError) as info:
         projection_chain(builtin("C3"), pins)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: ZChain.of(Word({0: 1}), 2.5), "coeff must be an integer, got 2.5"),
+        (lambda: ZChain([(Word({0: 1}), True)]), "coeff must be an integer, got True"),
+        (
+            lambda: ZChain.of(Word({0: 1}), Fraction(5, 2)),
+            "coeff must be an integer, got Fraction(5, 2)",
+        ),
+        (lambda: Word({0.7: 1.9}), "word position must be an integer, got 0.7"),
+        (lambda: Word({0: True}), "word entry must be an integer, got True"),
+        (lambda: Word([(0, 1.5)]), "word entry must be an integer, got 1.5"),
+        (lambda: GroupRepData("x", 6, (1, 1, 2.9)), "irrep dimension must be an integer, got 2.9"),
+        (lambda: GroupRepData("x", 6.5, (1, 1, 2)), "group order must be an integer, got 6.5"),
+        (lambda: GroupRepData("x", 2, (1, False)), "irrep dimension must be an integer, got False"),
+    ],
+)
+def test_constructors_refuse_what_int_would_truncate(build, message):
+    with pytest.raises(LampkError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+def test_constructors_read_integral_values():
+    assert ZChain.of(Word({0: 1}), 2.0) == ZChain.of(Word({0: 1}), 2)
+    assert Word({3.0: 1.0, "5": 2}) == Word({3: 1, 5: 2})
+    assert GroupRepData("S3", 6.0, [1.0, 1, 2]) == builtin("S3")

@@ -24,7 +24,7 @@ from itertools import product
 from typing import NamedTuple
 
 from . import intdet
-from .errors import LampkError, TruncationError, check_budget
+from .errors import LampkError, TruncationError, check_budget, exact_int
 from .grouprep import GroupRepData
 
 MAX_CERTIFICATE_COLUMNS = 100_000
@@ -51,6 +51,8 @@ def f_apply(
     coefficient at a tuple t of level n >= 2 picks up -dims[t[-1]] times
     the input coefficient at its projection.
     """
+    if type(levels) is not int:  # once per certificate column: no call for an int
+        levels = exact_int(levels, "levels")
     if levels < 2:
         raise LampkError(f"levels must be >= 2, got {levels}")
     top = 0
@@ -162,6 +164,7 @@ def claim_check(group: GroupRepData, levels: int) -> ClaimCertificate:
     MAX_CERTIFICATE_COLUMNS columns raise BudgetError before any is built;
     S4 at 7 levels (97 655 columns) takes about a second.
     """
+    levels = exact_int(levels, "levels")
     if levels < 2:
         raise LampkError(f"levels must be >= 2, got {levels}")
     check_budget(

@@ -21,7 +21,7 @@ from collections.abc import Iterator
 from typing import NamedTuple
 
 from . import zchain
-from .errors import LampkError, NonAbelianGroupError, check_budget
+from .errors import LampkError, NonAbelianGroupError, check_budget, exact_int
 from .grouprep import GroupRepData
 from .zchain import ZChain
 
@@ -37,7 +37,7 @@ def require_abelian(group: GroupRepData) -> None:
 def _pattern(x) -> tuple[int, ...]:
     """The periodic point x as a pattern: its coordinate at i is
     x[i % len(x)], and the period len(x) need not be minimal."""
-    x = tuple(x)
+    x = tuple([v if type(v) is int else exact_int(v, "pattern value") for v in x])
     if not x:
         raise LampkError("a periodic point needs a nonempty pattern")
     if any(v < 0 for v in x):
@@ -208,6 +208,7 @@ def livsic_check(
     require_abelian(group)
     if max_period is None:
         max_period = default_period_bound(f)
+    max_period = exact_int(max_period, "max_period")
     if max_period < 1:
         raise LampkError(f"max_period must be >= 1, got {max_period}")
     r = group.num_irreps

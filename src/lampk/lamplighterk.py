@@ -16,7 +16,7 @@ from math import gcd
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import zchain
-from .errors import LampkError, check_budget
+from .errors import LampkError, check_budget, exact_int
 from .grouprep import GroupRepData
 from .sampling import random_chain, window_range
 from .shiftwords import EMPTY_WORD, Word, canonicalize, check_alphabet
@@ -63,6 +63,7 @@ def trace_image_level(group: GroupRepData, n: int) -> Fraction:
     """
     from fractions import Fraction
 
+    n = exact_int(n, "level")
     if n < 0:
         raise LampkError(f"level must be >= 0, got {n}")
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -106,6 +107,9 @@ def pv_check(
     group: GroupRepData, samples: int, window: int, seed: int
 ) -> PVReport:
     """Property-test the kernel/cokernel bookkeeping on seeded random chains."""
+    samples = exact_int(samples, "samples")
+    window = exact_int(window, "window")
+    seed = exact_int(seed, "seed")
     if samples < 1:
         raise LampkError(f"samples must be >= 1, got {samples}")
     if window < 0:

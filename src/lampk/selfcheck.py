@@ -8,6 +8,7 @@ are the per-criterion time budgets.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -19,6 +20,7 @@ from . import DEFAULT_SEED, intdet, zchain
 from .colimitk import (
     claim_check, complement_tuples, f_apply, level_tuples, tuple_dim,
 )
+from .errors import LampkError
 from .fullshift import (
     beta_eval,
     coboundary_decompose,
@@ -395,7 +397,9 @@ def run_criterion(criterion: Criterion) -> CriterionResult:
 def run_all(budget_s: float | None = None) -> list[CriterionResult]:
     """Run criteria in order; once budget_s seconds are spent, no further
     criterion starts and each is reported skipped, so a budget of 0 starts
-    none."""
+    none.  A NaN budget, which no elapsed time reaches, is a LampkError."""
+    if budget_s is not None and math.isnan(budget_s):
+        raise LampkError("budget_s must be a number of seconds, got nan")
     results = []
     start = time.monotonic()
     for criterion in CRITERIA:

@@ -134,6 +134,8 @@ def check_alphabet(group: GroupRepData, words: Iterable[Word]) -> None:
 
 def shift(word: Word, k: int) -> Word:
     """Translate the word k steps: the entry at p moves to p + k."""
+    if type(k) is not int:  # the common case makes no call
+        k = exact_int(k, "shift")
     if k == 0 or word.is_empty:
         return word
     # Translation keeps positions distinct and sorted and entries >= 1.
@@ -155,6 +157,7 @@ def canonicalize(word: Word) -> tuple[Word, int]:
 
 def canonical_count(group: GroupRepData, max_len: int) -> int:
     """Closed-form number of canonical words with support in [0, max_len)."""
+    max_len = exact_int(max_len, "max_len")
     r = group.num_irreps
     total = 1 + (r - 1)
     for length in range(2, max_len + 1):
@@ -179,6 +182,7 @@ def enumerate_canonical(group: GroupRepData, max_len: int) -> list[Word]:
     interior.  More than MAX_CANONICAL_WORDS words raise BudgetError before
     any is built.
     """
+    max_len = exact_int(max_len, "max_len")
     if max_len < 1:
         raise LampkError(f"max_len must be >= 1, got {max_len}")
     check_budget(

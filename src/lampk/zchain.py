@@ -13,6 +13,7 @@ identity holds term-exactly, not just up to equivalence.
 
 from __future__ import annotations
 
+from itertools import pairwise
 from typing import NamedTuple
 
 from .errors import LampkError, check_budget, exact_int
@@ -24,9 +25,11 @@ class ZChain:
     """Finite integer combination of words; coefficients arbitrary ints.
 
     Zero coefficients are never stored, so equal dicts are equal chains.
+    A chain built by ``decompose`` or ``projection_chain`` holds its words
+    in word order already, and is marked so.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_coeffs", "_ordered")
 
     def __init__(self, terms=()):
         """The sum of the (word, coefficient) pairs; repeated words add up."""
@@ -41,6 +44,7 @@ class ZChain:
             else:
                 del coeffs[word]
         self._coeffs = coeffs
+        self._ordered = False
 
     @classmethod
     def of(cls, word: Word, coeff: int = 1) -> ZChain:
@@ -94,9 +98,16 @@ class ZChain:
         return self._coeffs == other._coeffs
 
     def terms(self):
-        """(word, coefficient) pairs in the deterministic word order, made as
-        they are taken: only the words are sorted, no list of pairs is built."""
+        """(word, coefficient) pairs in the deterministic word order
+        (``Word.sort_key``), made as they are taken.  A chain from
+        ``decompose``, ``coboundary_decompose`` or ``projection_chain`` is
+        built in that order and yields its terms as they stand; any other
+        chain (from ``ZChain(...)`` or arithmetic) sorts its words, and
+        only its words, first."""
         coeffs = self._coeffs
+        if self._ordered:
+            yield from coeffs.items()
+            return
         for word in sorted(coeffs, key=Word.sort_key):
             yield word, coeffs[word]
 
@@ -107,16 +118,19 @@ class ZChain:
         return f"ZChain<{body}>"
 
 
-def _trusted_chain(coeffs: dict) -> ZChain:
+def _trusted_chain(coeffs: dict, ordered: bool = False) -> ZChain:
     """The chain with these coefficients, which must all be nonzero ints:
-    no pass through ZChain.__init__."""
+    no pass through ZChain.__init__.  ``ordered`` says the dict already
+    lists its words in word order, so ``terms`` need not sort them."""
     chain = object.__new__(ZChain)
     chain._coeffs = coeffs
+    chain._ordered = ordered
     return chain
 
 
 def alpha(chain: ZChain, k: int = 1) -> ZChain:
     """The shift applied to every basis word (k-fold; k may be negative)."""
+    k = exact_int(k, "shift")
     if k == 0:
         return chain
     # the shift is injective on words, so no two terms merge
@@ -128,10 +142,10 @@ def is_invariant(chain: ZChain) -> bool:
     return all(w.is_empty for w in chain)
 
 
-# Terms one witness may stand for: a C2 word at offset 2^17 is split in
-# about 0.4 s, and `lampk decompose` on it, printing 14 MB of JSON, takes
-# about 0.7 to 1.0 s cold at 56 MB peak RSS (Python 3.11 on a 2-core Intel
-# Xeon).
+# Terms one witness may stand for: a C2 word at offset 2^17 is split, in
+# word order, in about 0.16 s, and `lampk decompose` on it, printing 14 MB
+# of JSON, takes about 0.5 to 0.8 s cold at 45 MB peak RSS (Python 3.11 on
+# a 2-core Intel Xeon).
 MAX_WITNESS_TERMS = 1 << 17
 
 
@@ -157,20 +171,67 @@ def decompose(chain: ZChain) -> Decomposition:
 def _telescope(chain: ZChain, step: int, sign: int) -> Decomposition:
     """``decompose`` with each witness word shifted ``step`` more places and
     each witness coefficient multiplied by ``sign``: step 1 and sign -1 give
-    the witness -alpha(m) in one pass, with no chain m built first."""
+    the witness -alpha(m) in one pass, with no chain m built first.
+
+    Both chains are built in word order, with no merging and no sort of
+    their words.  The words are grouped by orbit and only the orbit
+    representatives are sorted: the words of one orbit differ only in
+    their position, the last place of ``Word.sort_key``, so each orbit's
+    witness words follow its representative in ascending position.  The
+    witness coefficient at shift(rep, t + step) is sign times a running
+    sum over t: a word shift(rep, k) adds its coefficient at t = k and
+    takes it away at t = 0.
+    """
     check_budget(
         "splitting the chain",
         sum(abs(word.min_support or 0) for word in chain),
         MAX_WITNESS_TERMS, "witness terms",
     )
-    split = [(canonicalize(word), coeff) for word, coeff in chain.items()]
-    witness = ZChain(
-        (shift(rep, j + step), -sign * coeff if offset > 0 else sign * coeff)
-        for (rep, offset), coeff in split
-        for j in range(min(offset, 0), max(offset, 0))
+    orbits = {}  # representative -> {offset: summed coefficient}
+    for word, coeff in chain.items():
+        rep, offset = canonicalize(word)
+        offsets = orbits.setdefault(rep, {})
+        offsets[offset] = offsets.get(offset, 0) + coeff
+    witness, canonical = {}, {}
+    for rep in sorted(orbits, key=Word.sort_key):
+        diffs = orbits[rep]
+        total = sum(diffs.values())
+        if total:
+            canonical[rep] = total
+        diffs[0] = diffs.get(0, 0) - total
+        runs, running = [], 0
+        for t, end in pairwise(sorted(diffs)):
+            running += diffs[t]
+            if running:
+                runs.append((t + step, end + step, sign * running))
+        if runs:
+            _add_shifts(witness, rep.entries, runs)
+    return Decomposition(
+        witness=_trusted_chain(witness, ordered=True),
+        canonical=_trusted_chain(canonical, ordered=True),
     )
-    canonical = ZChain((rep, coeff) for (rep, _), coeff in split)
-    return Decomposition(witness=witness, canonical=canonical)
+
+
+def _add_shifts(coeffs: dict, entries: tuple, runs: list) -> None:
+    """Set coeffs[shift(rep, u)] = c for every u in [a, b) of each run
+    (a, b, c), in ascending u, where rep is the word with these entries
+    starting at 0.  Each (position, index) pair is made once, in a column
+    of consecutive positions per index, and shared by every word holding
+    it; entries of one index whose positions are far apart get separate
+    columns, so no column spans the gap between them."""
+    lo, hi = runs[0][0], runs[-1][1]
+    columns, latest = [], {}  # latest: index -> (first position, its column)
+    for p, idx in entries:
+        # entry (p, idx) is at positions p + u, u in [lo, hi)
+        first, pairs = latest.get(idx, (None, None))
+        if pairs is not None and p + lo < first + len(pairs):
+            pairs += [(q, idx) for q in range(first + len(pairs), p + hi)]
+        else:
+            first, pairs = latest[idx] = p + lo, [(q, idx) for q in range(p + lo, p + hi)]
+        columns.append((pairs, p - first))
+    for a, b, c in runs:
+        slices = [pairs[off + a:off + b] for pairs, off in columns]
+        coeffs.update((_trusted_word(items), c) for items in zip(*slices))
 
 
 def coinvariant_class(chain: ZChain) -> ZChain:
@@ -184,9 +245,9 @@ def coinvariant_class(chain: ZChain) -> ZChain:
 
 
 # Terms one projection expansion may build: C2 with 16 trivial pins
-# (65 536 terms) expands in about 0.15 s, and `lampk cylinder-expand` on it,
-# printing 15 MB of JSON, takes about 0.6 to 0.8 s cold at 41 MB peak RSS
-# (Python 3.11 on a 2-core Intel Xeon).
+# (65 536 terms) expands, in word order, in about 0.35 s, and `lampk
+# cylinder-expand` on it, printing 15 MB of JSON, takes about 0.5 to 0.9 s
+# cold at 31 MB peak RSS (Python 3.11 on a 2-core Intel Xeon).
 MAX_CYLINDER_TERMS = 1 << 16
 
 
@@ -201,12 +262,16 @@ def projection_chain(group: GroupRepData, pins) -> ZChain:
     t at 0, 1, ... gives Phi(t) = word(t) + words with more entries, so Phi
     is unitriangular on the complement basis of ``colimitk``, and it kills
     the induction map, as the appended d_sigma [p_sigma] sum to [1].  A
-    negative or out-of-range index, a position given twice, or more than
-    MAX_CYLINDER_TERMS terms (r^k for k trivial pins) raise before any term
-    is built.
+    position or value that is not an integer, a negative or out-of-range
+    index, a position given twice, or more than MAX_CYLINDER_TERMS terms
+    (r^k for k trivial pins) raise before any term is built.  The chain is
+    built in word order.
     """
     r = group.num_irreps
-    pins = sorted(pins)
+    pins = sorted(
+        (exact_int(pos, "cylinder position"), exact_int(idx, "cylinder value"))
+        for pos, idx in pins
+    )
     for i, (pos, idx) in enumerate(pins):
         if idx < 0:
             raise LampkError(f"irrep index must be >= 0, got {idx}")
@@ -218,15 +283,46 @@ def projection_chain(group: GroupRepData, pins) -> ZChain:
         f"expanding the trivial pins of a {group.name} cylinder",
         lambda k: r**k, MAX_CYLINDER_TERMS, "terms", steps=sum(i == 0 for _, i in pins),
     )
-    # Words are extended pin by pin, left to right, so their entries come
-    # out sorted and every word shares its (position, index) pairs.
-    terms = [((), 1)]
-    for pos, idx in pins:
-        choices = (
-            [(((pos, idx),), 1)] if idx
-            else [((), 1)] + [(((pos, g),), -d) for g, d in enumerate(group.dims) if g]
+    from heapq import merge
+
+    # Each pin's letters with their weights, ascending; every word holding
+    # a letter shares its (position, index) pair.
+    letters = [
+        [(((pos, idx),), 1)] if idx
+        else [(((pos, g),), -d) for g, d in enumerate(group.dims) if g]
+        for pos, idx in pins
+    ]
+    # The words whose first and last letters sit at pins f and l form a
+    # block of one window; no pin before f or after l holds a letter, so f
+    # is at most the first fixed pin and l at least the last one.  Blocks
+    # are listed by window length, and blocks of one length merged.
+    fixed = [i for i, (_, idx) in enumerate(pins) if idx]
+    blocks = {}
+    for f in range(fixed[0] + 1 if fixed else len(pins)):
+        for l in range(max(f, fixed[-1] if fixed else 0), len(pins)):
+            span = pins[l][0] - pins[f][0]
+            blocks.setdefault(span, []).append(_block(pins, letters, f, l))
+    # with no fixed pin, the empty word (every pin left out) comes first
+    coeffs = {} if fixed else {_trusted_word(()): 1}
+    for span in sorted(blocks):
+        same = blocks[span]
+        coeffs.update(
+            same[0] if len(same) == 1 else merge(*same, key=lambda t: t[0].sort_key())
         )
-        terms = [(items + entry, w * v) for items, w in terms for entry, v in choices]
     # Each choice of letters is a distinct word with a nonzero weight, so
-    # the terms need no merging.
-    return _trusted_chain({_trusted_word(items): w for items, w in terms})
+    # no two terms add up.
+    return _trusted_chain(coeffs, ordered=True)
+
+
+def _block(pins, letters, f: int, l: int):
+    """The (word, weight) terms of projection_chain whose first and last
+    letters sit at pins f and l, in word order.  Their windows agree, so
+    word order is the dense index vectors' order, which is the product's
+    order over the pins left to right, each pin's choices ascending (left
+    out first)."""
+    terms = letters[f]
+    for i in range(f + 1, l + 1):
+        choices = letters[i] if pins[i][1] or i == l else [((), 1), *letters[i]]
+        terms = [(items + entry, w * v) for items, w in terms for entry, v in choices]
+    for items, w in terms:
+        yield _trusted_word(items), w

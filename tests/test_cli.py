@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from lampk import cli, jsonio
 from lampk.cli import MAX_CHAIN_FILE_CHARS, main
+from lampk.errors import LampkError
 from lampk.fullshift import coboundary_decompose, cylinder_to_chain
 from lampk.grouprep import GroupRepData, builtin
 from lampk.shiftwords import Word, enumerate_canonical
@@ -748,6 +749,14 @@ def test_selfcheck_nan_budget_is_usage_error(capsys, budget):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "usage error: --budget: expected a number of seconds, got nan\n"
+
+
+def test_selfcheck_library_refuses_a_nan_budget(monkeypatch):
+    from lampk import selfcheck
+
+    monkeypatch.setattr(selfcheck, "run_criterion", lambda c: pytest.fail("a criterion ran"))
+    with pytest.raises(LampkError, match="^budget_s must be a number of seconds, got nan$"):
+        selfcheck.run_all(budget_s=float("nan"))
 
 
 def test_selfcheck_negative_budget_starts_nothing(capsys):

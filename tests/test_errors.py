@@ -76,3 +76,52 @@ def test_exact_int_reads_integers(value, expected):
 def test_exact_int_refuses_what_int_would_truncate(value):
     with pytest.raises(LampkError, match="^x must be an integer, got "):
         exact_int(value, "x")
+
+
+def _gated_calls():
+    """Each public entry that takes an integer, as a function of that one
+    integer, with every other argument fixed and valid."""
+    from lampk import (
+        Word, ZChain, alpha, beta_eval, builtin, claim_check, cylinder_to_chain,
+        enumerate_canonical, f_apply, livsic_check, periodic_orbit_sum,
+        projection_chain, pv_check, shift, trace_image_level,
+    )
+    from lampk.shiftwords import canonical_count
+
+    C2, S3 = builtin("C2"), builtin("S3")
+    chain = ZChain.of(Word({0: 1, 2: 1}))
+    return {
+        "alpha": lambda v: alpha(chain, v),
+        "shift": lambda v: shift(Word({0: 1}), v),
+        "claim_check": lambda v: claim_check(S3, v),
+        "enumerate_canonical": lambda v: enumerate_canonical(S3, v),
+        "canonical_count": lambda v: canonical_count(S3, v),
+        "livsic_check": lambda v: livsic_check(C2, chain, max_period=v),
+        "pv_check samples": lambda v: pv_check(S3, v, 2, 1),
+        "pv_check window": lambda v: pv_check(S3, 3, v, 1),
+        "pv_check seed": lambda v: pv_check(S3, 3, 2, v),
+        "trace_image_level": lambda v: trace_image_level(S3, v),
+        "projection_chain position": lambda v: projection_chain(S3, [(v, 0), (3, 2)]),
+        "projection_chain value": lambda v: projection_chain(S3, [(0, v), (3, 0)]),
+        "cylinder_to_chain value": lambda v: cylinder_to_chain(C2, [(0, v)]),
+        "f_apply": lambda v: f_apply(S3, {(1,): 1}, v),
+        "beta_eval": lambda v: beta_eval(C2, chain, (v, 0)),
+        "periodic_orbit_sum": lambda v: periodic_orbit_sum(C2, chain, (v, 1, 0)),
+    }
+
+
+def _outcome(call, value):
+    try:
+        return call(value)
+    except LampkError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", list(_gated_calls()))
+def test_public_integer_arguments_are_exact_or_refused(name):
+    call = _gated_calls()[name]
+    for value in (2.5, True):
+        with pytest.raises(LampkError, match=" must be an integer, got "):
+            call(value)
+    # a string of digits reads as its integer, as a JSON key does
+    assert _outcome(call, "1") == _outcome(call, 1)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from lampk import intdet, zchain
 from lampk.colimitk import complement_tuples, f_apply, level_tuples, tuple_dim
 from lampk.errors import GroupDataError, LampkError
-from lampk.fullshift import cylinder_to_chain
+from lampk.fullshift import coboundary_decompose, cylinder_to_chain
 from lampk.grouprep import _CATALOG, GroupRepData, builtin
 from lampk.lamplighterk import trace_of_chain
 from lampk.shiftwords import EMPTY_WORD, Word, canonicalize, enumerate_canonical, shift
@@ -349,22 +349,95 @@ def _projection_by_words(group, pins):
 
 @st.composite
 def group_and_pins_st(draw):
+    """A group and pins that are all fixed, all trivial, or mixed; any kind
+    may draw no pins at all."""
     group = draw(groups_st())
+    kind = draw(st.sampled_from(["fixed", "trivial", "mixed"]))
+    low = 1 if kind == "fixed" else 0
+    high = 0 if kind == "trivial" else group.num_irreps - 1
     positions = draw(st.lists(st.integers(-6, 6), unique=True, max_size=5))
-    pins = [(p, draw(st.integers(0, group.num_irreps - 1))) for p in positions]
+    pins = [(p, draw(st.integers(low, high))) for p in positions]
     return group, sorted(pins), draw(st.permutations(pins))
+
+
+def _sorted_terms(chain):
+    return sorted(chain.items(), key=lambda term: term[0].sort_key())
 
 
 @given(group_and_pins_st())
 def test_projection_chain_is_the_word_built_product(case):
     group, pins, shuffled = case
     chain = projection_chain(group, shuffled)
-    assert chain == _projection_by_words(group, pins) == projection_chain(group, pins)
+    reference = _projection_by_words(group, pins)
+    assert chain == reference == projection_chain(group, pins)
+    # built in word order: written as they stand, in a full sort's order
+    assert list(chain.terms()) == _sorted_terms(reference)
     # every word is one Word.__init__ would build, and the words share one
     # (position, index) pair per distinct entry
     assert all(Word(w.entries).entries == w.entries for w in chain)
     pairs = [e for w in chain for e in w.entries]
     assert len({id(e) for e in pairs}) == len(set(pairs))
+
+
+# --- word order of built chains ----------------------------------------------
+
+
+def _telescope_by_terms(chain, step, sign):
+    """The splitting as first written: each term telescoped on its own, the
+    witness words merged by ZChain, and every witness word shifted ``step``
+    more places with its coefficient times ``sign``."""
+    witness, canonical = [], []
+    for word, coeff in chain.items():
+        rep, offset = canonicalize(word)
+        canonical.append((rep, coeff))
+        c = -sign * coeff if offset > 0 else sign * coeff
+        witness += [(shift(rep, j + step), c) for j in range(min(offset, 0), max(offset, 0))]
+    return ZChain(witness), ZChain(canonical)
+
+
+# Chains with several words in one orbit, whose telescopes overlap and cancel.
+_REPS = [EMPTY_WORD, Word({0: 1}), Word({0: 2}), Word({0: 1, 1: 1}), Word({0: 2, 2: 1}),
+         Word({0: 1, 3: 1, 4: 2})]
+orbit_chains_st = st.builds(
+    ZChain,
+    st.lists(
+        st.tuples(st.builds(shift, st.sampled_from(_REPS), st.integers(-6, 6)), st.integers(-3, 3)),
+        max_size=8,
+    ),
+)
+
+
+@given(st.one_of(chains_st, orbit_chains_st))
+def test_decompositions_are_built_in_word_order(c):
+    for (step, sign), split in (
+        ((0, 1), decompose(c)),
+        ((1, -1), coboundary_decompose(builtin("C3"), c)),
+    ):
+        for got, reference in zip(split, _telescope_by_terms(c, step, sign)):
+            assert dict(got.items()) == dict(reference.items())
+            assert list(got.terms()) == _sorted_terms(reference)
+
+
+@given(chains_st, chains_st, st.integers(-3, 3))
+def test_other_chains_are_written_in_word_order(x, y, k):
+    witness, canonical = decompose(x)
+    for z in (
+        x, ZChain(reversed(list(x.items()))), x + y, x - y, -x, k * x, x * k,
+        alpha(x, k), alpha(witness, k), witness + canonical, witness - alpha(witness), -canonical,
+    ):
+        assert list(z.terms()) == _sorted_terms(z)
+
+
+def test_built_chains_are_written_with_no_sort_key(monkeypatch):
+    chain = ZChain.of(Word({-3: 1, 0: 2}), 2) + ZChain.of(Word({5: 1})) + ZChain.of(Word({2: 1}))
+    built = [projection_chain(builtin("C3"), [(p, 0) for p in range(4)]), *decompose(chain)]
+    calls = []
+    monkeypatch.setattr(Word, "sort_key", lambda word: calls.append(word) or ())
+    for built_chain in built:
+        list(built_chain.terms())
+    assert calls == []
+    list(chain.terms())
+    assert len(calls) == len(chain) == 3
 
 
 @pytest.mark.parametrize(

@@ -116,6 +116,8 @@ def builtin(name: str) -> GroupRepData:
     Cyclic groups are written ``C5`` or ``cyclic(5)``; the remaining names
     are klein4, S3, D4, Q8, A4, S4 and A5 (case-insensitive).
     """
+    if not isinstance(name, str):
+        raise CatalogError(f"group name must be a string, got {name!r}")
     cyclic = _CYCLIC_RE.match(name.strip())
     if cyclic:
         try:

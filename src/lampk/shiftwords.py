@@ -10,7 +10,7 @@ that word is the canonical orbit representative.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from itertools import product
+from itertools import chain, product
 from typing import Iterable
 
 from .errors import LampkError, check_budget, exact_int
@@ -122,6 +122,18 @@ def _trusted_word(items: tuple) -> Word:
     return word
 
 
+def _product_words(choices):
+    """The words that take one choice at each place of one window, in word
+    order and sharing their entries.  ``choices`` lists each place p from
+    left to right as its letters ((p, g),) by ascending g, after any ``()``
+    (p left out) at an inner place; the first and last hold letters only.
+    All these words fill the window, and ``Word.sort_key`` orders words of
+    one window by their index vectors, place by place, with ``()`` as index
+    0 below every letter: that is ``itertools.product`` order.
+    """
+    return map(_trusted_word, map(tuple, map(chain.from_iterable, product(*choices))))
+
+
 def check_alphabet(group: GroupRepData, words: Iterable[Word]) -> None:
     """Raise LampkError unless every entry of these words indexes an irrep
     of the group."""
@@ -165,22 +177,20 @@ def canonical_count(group: GroupRepData, max_len: int) -> int:
     return total
 
 
-# Words one enumeration may build.  The largest listing under the limit,
-# A5 at max_len 7 (62 501 words, 8.2 MB of JSON), is listed and printed by
-# the CLI in about 0.3 s cold at 24 MB peak RSS, and C2 at max_len 16
-# (32 769 words) in about 0.25 to 0.35 s at 22 MB (Python 3.11 on a 2-core
-# Intel Xeon).
+# Words one enumeration may build: A5 at max_len 7 (62 501 words, 8.2 MB
+# of JSON) is listed and printed by the CLI in about 0.3 to 0.4 s cold at
+# 24 MB peak RSS, and C2 at max_len 16 (32 769 words) in about 0.25 to
+# 0.3 s at 20 MB (Python 3.11 on a 2-core Intel Xeon).
 MAX_CANONICAL_WORDS = 1 << 16
 
 
 def enumerate_canonical(group: GroupRepData, max_len: int) -> list[Word]:
-    """All canonical words with support inside [0, max_len).
+    """All canonical words with support inside [0, max_len), in word order.
 
-    Ordered by window length, then lexicographically by the dense index
-    vector: the empty word, the single-letter words at position 0, then for
-    each length L the words with nontrivial first and last letter and free
-    interior.  More than MAX_CANONICAL_WORDS words raise BudgetError before
-    any is built.
+    The empty word, then for each length L the words with nontrivial first
+    and last letter and free interior, listed by ``_product_words`` (which
+    says why that is word order).  More than MAX_CANONICAL_WORDS words
+    raise BudgetError before any is built.
     """
     max_len = exact_int(max_len, "max_len")
     if max_len < 1:
@@ -190,19 +200,9 @@ def enumerate_canonical(group: GroupRepData, max_len: int) -> list[Word]:
         lambda n: canonical_count(group, n), MAX_CANONICAL_WORDS,
         "canonical words", steps=max_len,
     )
-    r = group.num_irreps
-    # pairs[p][g] is the entry (p, g), shared by every word holding it; the
-    # entries below are sorted, distinct and nonzero by construction
-    pairs = [[(p, g) for g in range(r)] for p in range(max_len)]
-    words = [EMPTY_WORD]
-    words.extend(_trusted_word((first,)) for first in pairs[0][1:])
+    letters = [tuple([((p, g),) for g in range(1, group.num_irreps)]) for p in range(max_len)]
+    words = [EMPTY_WORD, *_product_words([letters[0]])]
     for length in range(2, max_len + 1):
-        interiors = [
-            tuple([pairs[p][g] for p, g in enumerate(interior, 1) if g])
-            for interior in product(range(r), repeat=length - 2)
-        ]
-        lasts = pairs[length - 1][1:]
-        for first in pairs[0][1:]:
-            for interior in interiors:
-                words.extend([_trusted_word((first, *interior, last)) for last in lasts])
+        inner = [((), *letters[p]) for p in range(1, length - 1)]
+        words.extend(_product_words([letters[0], *inner, letters[length - 1]]))
     return words

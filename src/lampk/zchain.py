@@ -13,12 +13,13 @@ identity holds term-exactly, not just up to equivalence.
 
 from __future__ import annotations
 
-from itertools import pairwise
+from itertools import islice, pairwise, product, repeat
+from math import prod
 from typing import NamedTuple
 
 from .errors import LampkError, check_budget, exact_int
 from .grouprep import GroupRepData
-from .shiftwords import Word, _trusted_word, canonicalize, shift
+from .shiftwords import EMPTY_WORD, Word, _product_words, _trusted_word, canonicalize, shift
 
 
 class ZChain:
@@ -143,9 +144,9 @@ def is_invariant(chain: ZChain) -> bool:
 
 
 # Terms one witness may stand for: a C2 word at offset 2^17 is split, in
-# word order, in about 0.16 s, and `lampk decompose` on it, printing 14 MB
-# of JSON, takes about 0.5 to 0.8 s cold at 45 MB peak RSS (Python 3.11 on
-# a 2-core Intel Xeon).
+# word order, in about 0.2 s, and `lampk decompose` on it, printing 14 MB
+# of JSON, takes about 0.5 to 0.9 s cold at 44 MB peak RSS (Python 3.11
+# on a 2-core Intel Xeon).
 MAX_WITNESS_TERMS = 1 << 17
 
 
@@ -178,9 +179,8 @@ def _telescope(chain: ZChain, step: int, sign: int) -> Decomposition:
     representatives are sorted: the words of one orbit differ only in
     their position, the last place of ``Word.sort_key``, so each orbit's
     witness words follow its representative in ascending position.  The
-    witness coefficient at shift(rep, t + step) is sign times a running
-    sum over t: a word shift(rep, k) adds its coefficient at t = k and
-    takes it away at t = 0.
+    witness coefficient at shift(rep, t + step) is sign times a running sum
+    over t: shift(rep, k) adds its coefficient at t = k and removes it at 0.
     """
     check_budget(
         "splitting the chain",
@@ -199,39 +199,23 @@ def _telescope(chain: ZChain, step: int, sign: int) -> Decomposition:
         if total:
             canonical[rep] = total
         diffs[0] = diffs.get(0, 0) - total
-        runs, running = [], 0
+        running = 0
         for t, end in pairwise(sorted(diffs)):
             running += diffs[t]
-            if running:
-                runs.append((t + step, end + step, sign * running))
-        if runs:
-            _add_shifts(witness, rep.entries, runs)
+            if running:  # shift(rep, u) for u in [a, b): entries of one index that
+                # overlap share a column of pairs, and no column spans rep's gaps
+                a, b, cols, columns = t + step, end + step, [], {}
+                for p, i in rep.entries:
+                    first, pairs = columns.get(i, (p + a, []))
+                    if first + len(pairs) <= p + a:
+                        first, pairs = columns[i] = p + a, []
+                    pairs += zip(range(first + len(pairs), p + b), repeat(i))
+                    cols.append(islice(pairs, p + a - first, p + b - first))
+                witness.update(zip(map(_trusted_word, zip(*cols)), repeat(sign * running)))
     return Decomposition(
         witness=_trusted_chain(witness, ordered=True),
         canonical=_trusted_chain(canonical, ordered=True),
     )
-
-
-def _add_shifts(coeffs: dict, entries: tuple, runs: list) -> None:
-    """Set coeffs[shift(rep, u)] = c for every u in [a, b) of each run
-    (a, b, c), in ascending u, where rep is the word with these entries
-    starting at 0.  Each (position, index) pair is made once, in a column
-    of consecutive positions per index, and shared by every word holding
-    it; entries of one index whose positions are far apart get separate
-    columns, so no column spans the gap between them."""
-    lo, hi = runs[0][0], runs[-1][1]
-    columns, latest = [], {}  # latest: index -> (first position, its column)
-    for p, idx in entries:
-        # entry (p, idx) is at positions p + u, u in [lo, hi)
-        first, pairs = latest.get(idx, (None, None))
-        if pairs is not None and p + lo < first + len(pairs):
-            pairs += [(q, idx) for q in range(first + len(pairs), p + hi)]
-        else:
-            first, pairs = latest[idx] = p + lo, [(q, idx) for q in range(p + lo, p + hi)]
-        columns.append((pairs, p - first))
-    for a, b, c in runs:
-        slices = [pairs[off + a:off + b] for pairs, off in columns]
-        coeffs.update((_trusted_word(items), c) for items in zip(*slices))
 
 
 def coinvariant_class(chain: ZChain) -> ZChain:
@@ -245,9 +229,9 @@ def coinvariant_class(chain: ZChain) -> ZChain:
 
 
 # Terms one projection expansion may build: C2 with 16 trivial pins
-# (65 536 terms) expands, in word order, in about 0.35 s, and `lampk
-# cylinder-expand` on it, printing 15 MB of JSON, takes about 0.5 to 0.9 s
-# cold at 31 MB peak RSS (Python 3.11 on a 2-core Intel Xeon).
+# (65 536 terms) expands, in word order, in about 0.25 s, and `lampk
+# cylinder-expand` on it, printing 15 MB of JSON, takes about 0.6 to 1.0 s
+# cold at 28 MB peak RSS (Python 3.11 on a 2-core Intel Xeon).
 MAX_CYLINDER_TERMS = 1 << 16
 
 
@@ -265,7 +249,7 @@ def projection_chain(group: GroupRepData, pins) -> ZChain:
     position or value that is not an integer, a negative or out-of-range
     index, a position given twice, or more than MAX_CYLINDER_TERMS terms
     (r^k for k trivial pins) raise before any term is built.  The chain is
-    built in word order.
+    built in word order, block by block through ``_product_words``.
     """
     r = group.num_irreps
     pins = sorted(
@@ -285,44 +269,28 @@ def projection_chain(group: GroupRepData, pins) -> ZChain:
     )
     from heapq import merge
 
-    # Each pin's letters with their weights, ascending; every word holding
-    # a letter shares its (position, index) pair.
-    letters = [
-        [(((pos, idx),), 1)] if idx
-        else [(((pos, g),), -d) for g, d in enumerate(group.dims) if g]
+    # Each pin's letters and weights as a window's end, and as an inner
+    # place, where a trivial pin may also be left out with weight 1.
+    ends = [
+        ((((pos, idx),),), (1,)) if idx
+        else (tuple([((pos, g),) for g in range(1, r)]), tuple([-d for d in group.dims[1:]]))
         for pos, idx in pins
     ]
+    inners = [end if idx else (((), *end[0]), (1, *end[1])) for end, (_, idx) in zip(ends, pins)]
     # The words whose first and last letters sit at pins f and l form a
-    # block of one window; no pin before f or after l holds a letter, so f
-    # is at most the first fixed pin and l at least the last one.  Blocks
-    # are listed by window length, and blocks of one length merged.
+    # block of one window, listed by ``_product_words``; no pin before f or
+    # after l holds a letter, so f is at most the first fixed pin and l at
+    # least the last one.  Each word is built once, with a nonzero weight.
     fixed = [i for i, (_, idx) in enumerate(pins) if idx]
     blocks = {}
     for f in range(fixed[0] + 1 if fixed else len(pins)):
         for l in range(max(f, fixed[-1] if fixed else 0), len(pins)):
-            span = pins[l][0] - pins[f][0]
-            blocks.setdefault(span, []).append(_block(pins, letters, f, l))
+            places = [ends[f], *inners[f + 1:l], ends[l]] if l > f else [ends[f]]
+            letters, weights = zip(*places)
+            block = zip(_product_words(letters), map(prod, product(*weights)))
+            blocks.setdefault(pins[l][0] - pins[f][0], []).append(block)
     # with no fixed pin, the empty word (every pin left out) comes first
-    coeffs = {} if fixed else {_trusted_word(()): 1}
-    for span in sorted(blocks):
-        same = blocks[span]
-        coeffs.update(
-            same[0] if len(same) == 1 else merge(*same, key=lambda t: t[0].sort_key())
-        )
-    # Each choice of letters is a distinct word with a nonzero weight, so
-    # no two terms add up.
+    coeffs = {} if fixed else {EMPTY_WORD: 1}
+    for span in sorted(blocks):  # blocks of one window length are merged
+        coeffs.update(merge(*blocks[span], key=lambda t: t[0].sort_key()))
     return _trusted_chain(coeffs, ordered=True)
-
-
-def _block(pins, letters, f: int, l: int):
-    """The (word, weight) terms of projection_chain whose first and last
-    letters sit at pins f and l, in word order.  Their windows agree, so
-    word order is the dense index vectors' order, which is the product's
-    order over the pins left to right, each pin's choices ascending (left
-    out first)."""
-    terms = letters[f]
-    for i in range(f + 1, l + 1):
-        choices = letters[i] if pins[i][1] or i == l else [((), 1), *letters[i]]
-        terms = [(items + entry, w * v) for items, w in terms for entry, v in choices]
-    for items, w in terms:
-        yield _trusted_word(items), w

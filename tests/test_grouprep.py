@@ -53,6 +53,12 @@ def test_unknown_name_lists_catalog():
         builtin("cyclic(1)")
 
 
+@pytest.mark.parametrize("name", [2.5, True, 1, None, b"C2"])
+def test_non_string_name_is_a_catalog_error(name):
+    with pytest.raises(CatalogError, match=f"^group name must be a string, got {name!r}$"):
+        builtin(name)
+
+
 def test_cyclic_order_guards():
     assert builtin("C65536").num_irreps == MAX_CYCLIC_ORDER
     with pytest.raises(BudgetError, match="more than 65536 irreps"):

@@ -1,15 +1,17 @@
 from itertools import product
+from math import prod
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from lampk.errors import BudgetError, LampkError
-from lampk.grouprep import builtin
+from lampk.errors import BudgetError, GroupDataError, LampkError
+from lampk.grouprep import GroupRepData, builtin
 from lampk.shiftwords import (
     EMPTY_WORD,
     MAX_CANONICAL_WORDS,
     Word,
+    _product_words,
     canonical_count,
     canonicalize,
     enumerate_canonical,
@@ -154,7 +156,7 @@ def test_sort_key_sorts_as_the_offset_from_the_left_end(a, b):
 
 
 @pytest.mark.parametrize(
-    "name, max_len", [("C2", 1), ("C2", 6), ("C3", 4), ("klein4", 4), ("S3", 3)]
+    "name, max_len", [("C2", 1), ("C2", 6), ("C3", 4), ("klein4", 4), ("S3", 3), ("A5", 4)]
 )
 def test_enumerate_is_the_word_built_list(name, max_len):
     # the list the validating constructor built, in the same order
@@ -169,6 +171,38 @@ def test_enumerate_is_the_word_built_list(name, max_len):
                     expected.append(Word((i, v) for i, v in enumerate(vec) if v))
     words = enumerate_canonical(builtin(name), max_len)
     assert [w.entries for w in words] == [w.entries for w in expected]
+
+
+@st.composite
+def window_choices_st(draw):
+    """The places of one window, for a catalog group or inline dims: each
+    place some of the letters by ascending index, after ``()`` at an inner
+    place that may be left out."""
+    if draw(st.booleans()):
+        group = builtin(draw(st.sampled_from(["C2", "C3", "klein4", "S3", "A5"])))
+    else:
+        dims = (1, *draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)))
+        try:
+            group = GroupRepData("inline", sum(d * d for d in dims), dims)
+        except GroupDataError:
+            assume(False)
+    positions = sorted(draw(st.sets(st.integers(-8, 8), min_size=1, max_size=5)))
+    choices = []
+    for k, p in enumerate(positions):
+        indices = draw(st.sets(st.integers(1, group.num_irreps - 1), min_size=1))
+        letters = tuple(((p, g),) for g in sorted(indices))
+        inner = 0 < k < len(positions) - 1
+        choices.append(((), *letters) if inner and draw(st.booleans()) else letters)
+    return choices
+
+
+@given(window_choices_st())
+def test_product_words_are_in_word_order(choices):
+    words = list(_product_words(choices))
+    assert len(words) == prod(len(c) for c in choices)
+    assert all(Word(w.entries).entries == w.entries for w in words)
+    keys = [w.sort_key() for w in words]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
 def test_enumerate_rejects_bad_len():

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from itertools import product
 from math import prod
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from lampk import intdet, zchain
+from lampk import intdet, shiftwords, zchain
 from lampk.colimitk import complement_tuples, f_apply, level_tuples, tuple_dim
 from lampk.errors import GroupDataError, LampkError
 from lampk.fullshift import coboundary_decompose, cylinder_to_chain
@@ -379,6 +380,15 @@ def test_projection_chain_is_the_word_built_product(case):
     assert len({id(e) for e in pairs}) == len(set(pairs))
 
 
+def test_lettered_pins_build_in_linear_time():
+    # one word of 40 000 entries: a block costs time linear in its pins
+    pins = [(p, 1) for p in range(40_000)]
+    start = time.monotonic()
+    chain = projection_chain(builtin("C2"), pins)
+    assert time.monotonic() - start < 2
+    assert [(w.entries, c) for w, c in chain.items()] == [(tuple(pins), 1)]
+
+
 # --- word order of built chains ----------------------------------------------
 
 
@@ -416,6 +426,25 @@ def test_decompositions_are_built_in_word_order(c):
         for got, reference in zip(split, _telescope_by_terms(c, step, sign)):
             assert dict(got.items()) == dict(reference.items())
             assert list(got.terms()) == _sorted_terms(reference)
+
+
+@pytest.mark.parametrize(
+    "rep",
+    [
+        Word({p: 1 for p in range(16)}),
+        Word({0: 1, 2: 1, 3: 1, 40: 1, 10**8: 1, 10**8 + 5: 1}),
+        Word({0: 1, 1: 2, 2: 1, 4: 2, 5: 1}),
+    ],
+)
+@pytest.mark.parametrize("offset", [-300, 90])
+def test_witness_words_share_their_pairs(rep, offset):
+    # the witness words of one word share one (position, index) pair per
+    # distinct entry, also where entries of one index overlap when shifted
+    chain = ZChain.of(shift(rep, offset))
+    for witness in (decompose(chain).witness, coboundary_decompose(builtin("C3"), chain).witness):
+        pairs = [e for w in witness for e in w.entries]
+        assert len(witness) == abs(offset)
+        assert len({id(e) for e in pairs}) == len(set(pairs))
 
 
 @given(chains_st, chains_st, st.integers(-3, 3))
@@ -456,6 +485,7 @@ def test_projection_chain_refuses_bad_pins_before_any_term(monkeypatch, pins, me
         raise AssertionError("a term was built")
 
     monkeypatch.setattr(zchain, "_trusted_word", build)
+    monkeypatch.setattr(shiftwords, "_trusted_word", build)
     with pytest.raises(LampkError) as info:
         projection_chain(builtin("C3"), pins)
     assert str(info.value) == message

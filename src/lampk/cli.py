@@ -66,15 +66,14 @@ def _parse_json_arg(flag: str, text: str):
 MAX_CHAIN_FILE_CHARS = 1 << 22
 
 
-def _load_chain(path_or_json: str, group: GroupRepData):
+def _load_chain(path_or_json: str):
     """--fn accepts a file path, or the chain JSON inline (starts with [).
 
     A file is read to one character past MAX_CHAIN_FILE_CHARS; inline JSON is
-    capped by the kernel (128 KiB an argument on Linux).  Every word entry
-    must index an irrep of the group.
+    capped by the kernel (128 KiB an argument on Linux).  The library call
+    the chain goes to checks its letters against the group.
     """
     from . import jsonio
-    from .shiftwords import check_alphabet
 
     text = path_or_json.strip()
     if not text.startswith("["):
@@ -84,9 +83,7 @@ def _load_chain(path_or_json: str, group: GroupRepData):
         except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"--fn: not a readable chain file: {exc}") from exc
         check_budget("reading the --fn file", len(text), MAX_CHAIN_FILE_CHARS, "characters")
-    chain = jsonio.chain_from_json(_parse_json_arg("--fn", text))
-    check_alphabet(group, chain)
-    return chain
+    return jsonio.chain_from_json(_parse_json_arg("--fn", text))
 
 
 def _emit(payload: dict) -> None:
@@ -245,7 +242,7 @@ def cmd_trace_image(args, group):
 def cmd_decompose(args, group):
     from .fullshift import coboundary_decompose
 
-    chain = _load_chain(args.fn, group)
+    chain = _load_chain(args.fn)
     witness, canonical = coboundary_decompose(group, chain)
     return {
         "group": group.name,
@@ -257,7 +254,7 @@ def cmd_decompose(args, group):
 def cmd_livsic(args, group):
     from .fullshift import livsic_check
 
-    chain = _load_chain(args.fn, group)
+    chain = _load_chain(args.fn)
     report = livsic_check(group, chain, max_period=args.max_period)
     return {
         "group": group.name,
@@ -270,13 +267,12 @@ def cmd_livsic(args, group):
 
 
 def cmd_cylinder_expand(args, group):
-    from . import jsonio
     from .fullshift import cylinder_to_chain
 
     raw = _parse_json_arg("--spec", args.spec)
     if not isinstance(raw, dict):
         raise UsageError("--spec: expected an object of position -> value")
-    chain = cylinder_to_chain(group, jsonio.pins_from_json(raw))
+    chain = cylinder_to_chain(group, raw.items())
     return {"group": group.name, "chain": chain}, 0
 
 

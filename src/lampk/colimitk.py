@@ -44,8 +44,8 @@ def f_apply(
     group: GroupRepData, vec: dict[IrrepTuple, int], levels: int
 ) -> dict[IrrepTuple, int]:
     """Induction map on a vector supported on levels 1..levels-1, given as a
-    dict {level tuple: coefficient}; the image, a dict with no zero
-    coefficient, lives on levels 1..levels.
+    dict {tuple of int irrep indices: integer}; the image, a dict with no
+    zero coefficient, lives on levels 1..levels.
 
     Linear over the basis rule above.  Equivalently, pointwise: the
     coefficient at a tuple t of level n >= 2 picks up -dims[t[-1]] times
@@ -55,10 +55,13 @@ def f_apply(
         levels = exact_int(levels, "levels")
     if levels < 2:
         raise LampkError(f"levels must be >= 2, got {levels}")
+    r = group.num_irreps
     top = 0
     for t, c in vec.items():
-        if not isinstance(t, tuple) or len(t) == 0:
-            raise LampkError(f"level keys must be nonempty tuples, got {t!r}")
+        # a key that is no nonempty tuple is read as (None,); a bool is no index
+        for i in t if isinstance(t, tuple) and t else (None,):
+            if type(i) is not int or not 0 <= i < r:
+                raise LampkError(f"level keys must be nonempty tuples of irrep indices, got {t!r}")
         if c and len(t) > top:
             top = len(t)
     if top > levels - 1:
@@ -76,6 +79,8 @@ def f_apply(
             out.pop(t, None)
 
     for t, c in vec.items():
+        if type(c) is not int:
+            c = exact_int(c, "coefficient")
         bump(t, c)
         for sigma, d in enumerate(group.dims):
             bump((*t, sigma), -c * d)

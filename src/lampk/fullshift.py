@@ -23,6 +23,7 @@ from typing import NamedTuple
 from . import zchain
 from .errors import LampkError, NonAbelianGroupError, check_budget, exact_int
 from .grouprep import GroupRepData
+from .shiftwords import check_alphabet
 from .zchain import ZChain
 
 
@@ -34,14 +35,15 @@ def require_abelian(group: GroupRepData) -> None:
         )
 
 
-def _pattern(x) -> tuple[int, ...]:
-    """The periodic point x as a pattern: its coordinate at i is
-    x[i % len(x)], and the period len(x) need not be minimal."""
+def _pattern(group: GroupRepData, x) -> tuple[int, ...]:
+    """The periodic point x as a pattern of irrep indices: its coordinate at
+    i is x[i % len(x)], and the period len(x) need not be minimal."""
     x = tuple([v if type(v) is int else exact_int(v, "pattern value") for v in x])
     if not x:
         raise LampkError("a periodic point needs a nonempty pattern")
-    if any(v < 0 for v in x):
-        raise LampkError("pattern values are irrep indices, >= 0")
+    r = group.num_irreps
+    if not all(0 <= v < r for v in x):
+        raise LampkError(f"pattern values are irrep indices of {group.name}, below {r}")
     return x
 
 
@@ -53,7 +55,7 @@ def beta_eval(group: GroupRepData, chain: ZChain, x: tuple[int, ...]) -> int:
     (nontrivial) entry; coefficients add up Z-linearly.
     """
     require_abelian(group)
-    x = _pattern(x)
+    x = _pattern(group, x)
     n = len(x)
     total = 0
     for word, coeff in chain.items():
@@ -89,6 +91,7 @@ def coboundary_decompose(group: GroupRepData, f: ZChain) -> zchain.Decomposition
     as m would be, each step shifted once more and negated.
     """
     require_abelian(group)
+    check_alphabet(group, f)
     return zchain._telescope(f, 1, -1)
 
 
@@ -101,7 +104,7 @@ def periodic_orbit_sum(group: GroupRepData, f: ZChain, x: tuple[int, ...]) -> in
     pattern built.
     """
     require_abelian(group)
-    pattern = _pattern(x)
+    pattern = _pattern(group, x)
     n = len(pattern)
     total = 0
     for word, coeff in f.items():
@@ -202,10 +205,11 @@ def livsic_check(
     A proven coboundary skips the scan, because every orbit sum of
     f = g - g o shift vanishes: over a point x of period n the sum
     telescopes, sum_k (g(shift^k x) - g(shift^(k+1) x)) = g(x) - g(shift^n x)
-    = 0.  The guards still run first, so what is refused does not depend
-    on the answer.
+    = 0.  The letter check and the guards run first, so what is refused
+    does not depend on the answer.
     """
     require_abelian(group)
+    check_alphabet(group, f)
     if max_period is None:
         max_period = default_period_bound(f)
     max_period = exact_int(max_period, "max_period")

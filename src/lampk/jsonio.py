@@ -1,11 +1,11 @@
 """JSON wire formats.
 
 Words carry string integer keys ({"entries": {"0": 1}}); chains are arrays
-of {"word", "coeff"} sorted in word order with the zero chain as []; a
-cylinder spec maps string positions to values ({"0": 0, "1": 1}); group
+of {"word", "coeff"} sorted in word order with the zero chain as []; group
 data is {"name", "order", "dims"}; traces are emitted as {"num", "den"}.
-Chains and words re-parse to the same value, and every JSON integer is
-read through errors.exact_int, by the constructors or here.  Chains and
+Chains and words re-parse to the same value.  Nothing here checks a value
+against its group or reads an integer: the constructors and the library
+entries a value goes to do, through errors.exact_int.  Chains and
 word lists are written as a stream of pieces of a few terms or words
 each, never as one text; the digit limit is checked before the first
 piece.
@@ -17,7 +17,7 @@ from itertools import islice
 from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING
 
-from .errors import LampkError, exact_int
+from .errors import LampkError, exact_int  # noqa: F401  (exact_int is importable here too)
 from .grouprep import GroupRepData
 from .shiftwords import Word
 from .zchain import ZChain
@@ -45,24 +45,6 @@ def word_from_json(data: dict) -> Word:
     except AttributeError as exc:
         raise LampkError(f"malformed word JSON: {exc}") from exc
     return Word(items)
-
-
-def pins_from_json(data: dict) -> list[tuple[int, int]]:
-    """A cylinder spec's (position, value) pins, sorted by position.
-
-    A value of 0 pins the trivial index, so it is kept; conflicting pins
-    would define an empty cylinder, so a position given twice is an error.
-    """
-    pins = {}
-    for pos, idx in data.items():
-        pos = exact_int(pos, "cylinder position")
-        idx = exact_int(idx, "cylinder value")
-        if idx < 0:
-            raise LampkError(f"constraint value must be >= 0, got {idx}")
-        if pos in pins:
-            raise LampkError(f"duplicate position {pos} in cylinder spec")
-        pins[pos] = idx
-    return sorted(pins.items())
 
 
 def chain_to_json(chain: ZChain) -> list:

@@ -97,9 +97,10 @@ class PVReport(NamedTuple):
 
 # Positions the samples of one pv_check may draw from, counted as
 # samples * (2 * window + 1): the default 1000 samples at window 4 are 9 000
-# of them and take about 0.2 s.  A sampled chain has at most 5 words within
-# the window, so its witness (5 * window terms at most) stays well inside
-# zchain.MAX_WITNESS_TERMS.
+# of them and take about 0.2 s.  A sampled chain has at most 5 words of at
+# most 4 entries within the window, so its witness has at most 20 * window
+# entries: a window past zchain.MAX_WITNESS_TERMS / 20 is refused before the
+# first sample, not by the split of whichever sample first needs more.
 MAX_SAMPLED_POSITIONS = 1 << 15
 
 
@@ -114,10 +115,9 @@ def pv_check(
         raise LampkError(f"samples must be >= 1, got {samples}")
     if window < 0:
         raise LampkError(f"window must be >= 0, got {window}")
-    check_budget(
-        f"a pv-check of {samples} samples at window {window}",
-        samples * (2 * window + 1), MAX_SAMPLED_POSITIONS, "sampled positions",
-    )
+    what = f"a pv-check of {samples} samples at window {window}"
+    check_budget(what, samples * (2 * window + 1), MAX_SAMPLED_POSITIONS, "sampled positions")
+    check_budget(what, 20 * window, zchain.MAX_WITNESS_TERMS, "witness entries")
     rng = random.Random(seed)
     positions = window_range(window)
     failed = 0

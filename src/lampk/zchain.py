@@ -143,10 +143,10 @@ def is_invariant(chain: ZChain) -> bool:
     return all(w.is_empty for w in chain)
 
 
-# Terms one witness may stand for: a C2 word at offset 2^17 is split, in
-# word order, in about 0.2 s, and `lampk decompose` on it, printing 14 MB
-# of JSON, takes about 0.5 to 0.9 s cold at 44 MB peak RSS (Python 3.11
-# on a 2-core Intel Xeon).
+# Entries one witness may stand for, counted over its words: a one-entry
+# C2 word at offset 2^17 is split, in word order, in about 0.2 s, and
+# `lampk decompose` on it, printing 14 MB of JSON, takes about 0.5 to
+# 0.7 s cold at 45 MB peak RSS (Python 3.11 on a 2-core Intel Xeon).
 MAX_WITNESS_TERMS = 1 << 17
 
 
@@ -163,8 +163,9 @@ def decompose(chain: ZChain) -> Decomposition:
     The witness never touches the empty word (that word is its own
     representative with offset 0), which makes the output deterministic:
     the ambiguity in the witness is exactly the invariants subgroup.
-    The witness has at most sum |offset| terms; more than
-    MAX_WITNESS_TERMS of them raise BudgetError before any is built.
+    The witness has at most sum |offset| terms, of at most
+    sum |offset| * len(entries) entries; more than MAX_WITNESS_TERMS
+    entries raise BudgetError before any term is built.
     """
     return _telescope(chain, 0, 1)
 
@@ -184,8 +185,8 @@ def _telescope(chain: ZChain, step: int, sign: int) -> Decomposition:
     """
     check_budget(
         "splitting the chain",
-        sum(abs(word.min_support or 0) for word in chain),
-        MAX_WITNESS_TERMS, "witness terms",
+        sum(abs(word.min_support or 0) * len(word.entries) for word in chain),
+        MAX_WITNESS_TERMS, "witness entries",
     )
     orbits = {}  # representative -> {offset: summed coefficient}
     for word, coeff in chain.items():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from lampk import cli, jsonio
 from lampk.cli import MAX_CHAIN_FILE_CHARS, main
 from lampk.errors import LampkError
-from lampk.fullshift import coboundary_decompose, cylinder_to_chain
+from lampk.fullshift import coboundary_decompose, cylinder_to_chain, livsic_check
 from lampk.grouprep import GroupRepData, builtin
 from lampk.shiftwords import Word, enumerate_canonical
 from lampk.zchain import ZChain, alpha
@@ -324,6 +324,35 @@ def test_out_of_range_irrep_index_is_domain_error(capsys):
         assert "out of range" in json.loads(err)["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cylinder-expand", "--group", "C2", "--spec", '{"0":7}'],
+        ["cylinder-expand", "--group", "C2", "--spec", '{"0":-1}'],
+        ["cylinder-expand", "--group", "C2", "--spec", '{"1":0,"01":1}'],
+        ["cylinder-expand", "--group", "S3", "--spec", '{"0":7}'],
+        ["decompose", "--group", "C2", "--fn", '[{"word":{"entries":{"0":7}},"coeff":1}]'],
+        ["livsic", "--group", "C2", "--fn", '[{"word":{"entries":{"0":7}},"coeff":1}]'],
+        ["livsic", "--group", "S3", "--fn", '[{"word":{"entries":{"0":7}},"coeff":1}]'],
+    ],
+)
+def test_a_value_off_its_group_is_refused_by_the_library_alone(capsys, argv):
+    # The CLI parses the JSON and calls the library, whose error it prints
+    # as raised: no check of its own stands in front of the library's.
+    command, group, value = argv[0], builtin(argv[2]), json.loads(argv[4])
+    with pytest.raises(LampkError) as raised:
+        if command == "cylinder-expand":
+            cylinder_to_chain(group, value.items())
+        elif command == "decompose":
+            coboundary_decompose(group, jsonio.chain_from_json(value))
+        else:
+            livsic_check(group, jsonio.chain_from_json(value))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    error = json.loads(err)["error"]
+    assert (error["type"], error["message"]) == (type(raised.value).__name__, str(raised.value))
+
+
 def test_pv_check_rejects_negative_window(capsys):
     code, out, err = run_cli(
         capsys, "pv-check", "--group", "C2", "--samples", "5", "--window", "-3"
@@ -583,7 +612,7 @@ def test_cylinder_spec_duplicate_position_is_domain_error(capsys, spec):
     assert out == ""
     error = json.loads(err)["error"]
     assert error["type"] == "LampkError"
-    assert error["message"] == "duplicate position 0 in cylinder spec"
+    assert error["message"] == "duplicate position 0 in word entries"
 
 
 @pytest.mark.parametrize(

@@ -117,6 +117,46 @@ def _outcome(call, value):
         return type(exc), str(exc)
 
 
+def _off_group_calls():
+    """Each public entry given a value that is not over its group: a letter
+    or a pattern value that indexes no irrep of C2, or an f_apply vector
+    whose coefficient is not an integer or whose level tuple indexes no
+    irrep of S3."""
+    from lampk import (
+        Word, ZChain, beta_eval, builtin, coboundary_decompose, f_apply,
+        livsic_check, periodic_orbit_sum,
+    )
+
+    C2, S3 = builtin("C2"), builtin("S3")
+    seven = ZChain.of(Word({0: 7}))
+    return {
+        "livsic_check": lambda: livsic_check(C2, seven),
+        "coboundary_decompose": lambda: coboundary_decompose(C2, seven),
+        "beta_eval": lambda: beta_eval(C2, seven, (7,)),
+        "periodic_orbit_sum": lambda: periodic_orbit_sum(C2, seven, (7,)),
+        "f_apply coefficient 2.5": lambda: f_apply(S3, {(0,): 2.5}, 3),
+        "f_apply index 7": lambda: f_apply(S3, {(7,): 1}, 3),
+        "f_apply index -1": lambda: f_apply(S3, {(-1,): 1}, 3),
+        "f_apply index 0.5": lambda: f_apply(S3, {(0.5,): 1}, 3),
+        "f_apply index True": lambda: f_apply(S3, {(True,): 1}, 3),
+    }
+
+
+@pytest.mark.parametrize("name", list(_off_group_calls()))
+def test_values_off_their_group_are_refused(name):
+    with pytest.raises(LampkError):
+        _off_group_calls()[name]()
+
+
+def test_f_apply_reads_its_coefficients_as_integers():
+    from lampk import builtin, f_apply
+
+    S3 = builtin("S3")
+    image = f_apply(S3, {(0,): 2.0, (1, 2): Fraction(-6, 2)}, 3)
+    assert image == f_apply(S3, {(0,): 2, (1, 2): -3}, 3)
+    assert all(type(c) is int for c in image.values())
+
+
 @pytest.mark.parametrize("name", list(_gated_calls()))
 def test_public_integer_arguments_are_exact_or_refused(name):
     call = _gated_calls()[name]

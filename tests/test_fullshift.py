@@ -68,11 +68,13 @@ def test_periodic_point_basics():
     assert periodic_orbit_sum(C2, f, [1, 0, 1]) == periodic_orbit_sum(C2, f, x)
 
 
-@pytest.mark.parametrize("pattern", [(), [], (0, -1), (1, 2, -3)])
+@pytest.mark.parametrize("pattern", [(), [], (0, -1), (1, 2, -3), (7,), (0, 2)])
 def test_malformed_patterns_are_refused(pattern):
-    for evaluate in (beta_eval, periodic_orbit_sum):
-        with pytest.raises(LampkError):
-            evaluate(C3, ZChain.of(EMPTY_WORD), pattern)
+    # a point of the C2 full shift takes the values 0 and 1, one of C3 0 to 2
+    for group in (C2,) if pattern == (0, 2) else (C3, C2):
+        for evaluate in (beta_eval, periodic_orbit_sum):
+            with pytest.raises(LampkError):
+                evaluate(group, ZChain.of(EMPTY_WORD), pattern)
 
 
 def test_beta_eval_examples():
@@ -216,13 +218,13 @@ def test_coboundary_decompose_is_the_three_pass_split(case, limit):
     assert coboundary_decompose(group, f) == (-alpha(m), h)
     # Under any limit, both entry points refuse exactly the same chains.
     splits = (decompose, lambda c: coboundary_decompose(group, c))
-    fits = sum(abs(w.min_support or 0) for w in f) <= limit
+    fits = sum(abs(w.min_support or 0) * len(w.entries) for w in f) <= limit
     with mock.patch.object(zchain, "MAX_WITNESS_TERMS", limit):
         for split in splits:
             if fits:
                 split(f)
             else:
-                with pytest.raises(BudgetError, match=f"more than {limit} witness terms"):
+                with pytest.raises(BudgetError, match=f"more than {limit} witness entries"):
                     split(f)
 
 

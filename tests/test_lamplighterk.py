@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lampk.errors import LampkError
+from lampk.errors import BudgetError, LampkError
 from lampk.grouprep import _CATALOG, builtin
 from lampk.lamplighterk import (
     pv_check,
@@ -129,6 +129,14 @@ def test_pv_check_rejects_bad_sizes():
     for samples, window in ((0, 2), (5, -1)):
         with pytest.raises(LampkError):
             pv_check(g, samples=samples, window=window, seed=1)
+
+
+def test_pv_check_refuses_a_window_whose_witness_could_pass_the_limit():
+    # a sampled chain's witness has at most 20 * window entries
+    g = builtin("C2")
+    assert pv_check(g, samples=1, window=6553, seed=1).passed
+    with pytest.raises(BudgetError, match="more than 131072 witness entries"):
+        pv_check(g, samples=1, window=6554, seed=1)
 
 
 def test_pv_check_passes_and_is_deterministic():

@@ -6,15 +6,21 @@ reader (machine-readable JSON on stderr), or a failed check (pv-check found
 a counterexample, or a selfcheck criterion failed); 2 usage error; 3
 selfcheck stopped by its time budget.  Rationals are emitted as {"num",
 "den"} objects; no numeric output is ever a float.
+
+Well-formed flags are read straight from ``COMMANDS``: the subcommand,
+then ``--flag value`` pairs of its entry, each flag at most once, no value
+starting with ``-``, every value converted and in its choices, and every
+required flag given.  argparse loads only for ``-h`` and for an argv it
+must judge, so help and every usage error it reports are its own text.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
 import sys
+import types
 
 from . import BOUNDARY_IDENTITY, DEFAULT_SEED
 from .errors import LampkError, check_budget
@@ -307,7 +313,8 @@ _WORDS = [_GROUP, ("--max-len", {"type": int, "required": True}),
           ("--format", {"choices": ("json", "table"), "default": "json"})]
 
 # The subcommands in help order: name -> (handler, help, [(flag, keywords of
-# add_argument)]).
+# add_argument)]).  _read_argv understands the keywords required, default,
+# type, choices and help, and nothing else.
 COMMANDS = {
     "fingerprint": (cmd_fingerprint, "(|F|, sorted dims, |F^ab|)", [_GROUP]),
     "classify": (cmd_classify, "C*-algebra isomorphism decision", [
@@ -337,6 +344,8 @@ COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="lampk",
         description=(
@@ -352,6 +361,42 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_argv(argv) -> types.SimpleNamespace | None:
+    """The namespace build_parser().parse_args(argv) returns, read straight
+    from COMMANDS, if argv is well-formed as the module docstring says;
+    None for any other argv, which argparse must judge."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    handler, _, flags = COMMANDS[argv[0]]
+    given = dict(zip(argv[1::2], argv[2::2]))
+    if len(given) < len(argv) // 2:  # a flag given twice, or a last one with no value
+        return None
+    values = {"command": argv[0]}
+    for flag, keywords in flags:
+        text = given.pop(flag, None)
+        if text is None:
+            if keywords.get("required"):
+                return None
+            value = keywords.get("default")
+        elif text.startswith("-"):
+            return None
+        else:
+            value = text
+            if "type" in keywords:
+                try:
+                    value = keywords["type"](text)
+                except (TypeError, ValueError):
+                    return None
+            choices = keywords.get("choices")
+            if choices is not None and value not in choices:
+                return None
+        values[flag[2:].replace("-", "_")] = value
+    if given:  # a flag the subcommand does not have
+        return None
+    values["handler"] = handler
+    return types.SimpleNamespace(**values)
+
+
 def _error(exc: Exception) -> int:
     error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
     print(json.dumps(error, ensure_ascii=False), file=sys.stderr)
@@ -359,8 +404,11 @@ def _error(exc: Exception) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_argv(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         text = getattr(args, "group", None)
         payload, code = args.handler(args, None if text is None else _parse_group(text))
@@ -369,7 +417,8 @@ def main(argv=None) -> int:
         sys.stdout.flush()
         return code
     except UsageError as exc:
-        parser.exit(2, f"usage error: {exc}\n")
+        sys.stderr.write(f"usage error: {exc}\n")
+        sys.exit(2)
     except LampkError as exc:
         return _error(exc)
     except BrokenPipeError as exc:

@@ -55,6 +55,7 @@ def beta_eval(group: GroupRepData, chain: ZChain, x: tuple[int, ...]) -> int:
     (nontrivial) entry; coefficients add up Z-linearly.
     """
     require_abelian(group)
+    check_alphabet(group, chain)
     x = _pattern(group, x)
     n = len(x)
     total = 0
@@ -104,6 +105,7 @@ def periodic_orbit_sum(group: GroupRepData, f: ZChain, x: tuple[int, ...]) -> in
     pattern built.
     """
     require_abelian(group)
+    check_alphabet(group, f)
     pattern = _pattern(group, x)
     n = len(pattern)
     total = 0

@@ -93,14 +93,19 @@ def value(rng, flag):
     return rng.choice(INTS if good else BAD_INTS)
 
 
-@settings(derandomize=True, max_examples=200, deadline=timedelta(seconds=3))
-@given(st.randoms(use_true_random=True))
-def test_every_invocation_ends_in_the_contract(rng):
+def draw_argv(rng) -> list:
     command = rng.choice(sorted(SUBCOMMANDS))
     argv = [command]
     for flag in SUBCOMMANDS[command]:
         if rng.random() < 0.9:  # a required flag is left out now and then
             argv += [flag, value(rng, flag)]
+    return argv
+
+
+@settings(derandomize=True, max_examples=200, deadline=timedelta(seconds=3))
+@given(st.randoms(use_true_random=True))
+def test_every_invocation_ends_in_the_contract(rng):
+    argv = draw_argv(rng)
     note(f"argv = {argv!r}")
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

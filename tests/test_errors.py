@@ -128,12 +128,14 @@ def _off_group_calls():
     )
 
     C2, S3 = builtin("C2"), builtin("S3")
-    seven = ZChain.of(Word({0: 7}))
+    one, seven = ZChain.of(Word({0: 1})), ZChain.of(Word({0: 7}))
     return {
         "livsic_check": lambda: livsic_check(C2, seven),
         "coboundary_decompose": lambda: coboundary_decompose(C2, seven),
-        "beta_eval": lambda: beta_eval(C2, seven, (7,)),
-        "periodic_orbit_sum": lambda: periodic_orbit_sum(C2, seven, (7,)),
+        "beta_eval": lambda: beta_eval(C2, one, (7,)),
+        "periodic_orbit_sum": lambda: periodic_orbit_sum(C2, one, (7,)),
+        "beta_eval letter 7": lambda: beta_eval(C2, seven, (0,)),
+        "periodic_orbit_sum letter 7": lambda: periodic_orbit_sum(C2, seven, (1, 0)),
         "f_apply coefficient 2.5": lambda: f_apply(S3, {(0,): 2.5}, 3),
         "f_apply index 7": lambda: f_apply(S3, {(7,): 1}, 3),
         "f_apply index -1": lambda: f_apply(S3, {(-1,): 1}, 3),

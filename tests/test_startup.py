@@ -15,13 +15,19 @@ from pathlib import Path
 import pytest
 
 import lampk
+from lampk.cli import build_parser
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# Modules the CLI start-up and a fingerprint must not load: the
+# Modules a well-formed invocation never loads: argparse and the gettext
+# it imports, which only -h and an argv argparse must judge load.
+ARGPARSE = ("argparse", "gettext")
+
+# Modules the CLI start-up and a fingerprint must not load: argparse, the
 # dataclasses machinery, fractions (which loads decimal), the acceptance
 # criteria, and the modules of other subcommands.
 OFF_THE_COLD_PATH = (
+    *ARGPARSE,
     "dataclasses",
     "fractions",
     "lampk.selfcheck",
@@ -63,6 +69,28 @@ def test_claim_check_loads_its_own_modules_only():
     assert "lampk.colimitk" in loaded
     assert "lampk.fullshift" not in loaded
     assert "lampk.selfcheck" not in loaded
+    assert loaded.isdisjoint(ARGPARSE)
+
+
+def test_help_and_malformed_flags_are_argparse_text(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+
+    def cli(*argv):
+        return subprocess.run(
+            [sys.executable, "-S", "-m", "lampk.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+
+    shown = cli("-h")
+    assert (shown.returncode, shown.stdout, shown.stderr) == (0, build_parser().format_help(), "")
+    argv = ["claim-check", "--group", "C2", "--levels", "x"]
+    refused = cli(*argv)
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(argv)
+    expected = capsys.readouterr().err
+    assert "argument --levels: invalid int value: 'x'" in expected
+    assert (refused.returncode, refused.stdout, refused.stderr) == (2, "", expected)
 
 
 def test_k1_loads_no_word_or_trace_code():

@@ -94,16 +94,17 @@ def _load_chain(path_or_json: str):
 
 def _emit(payload: dict) -> None:
     """Print the payload as ``json.dumps(payload, indent=2, ensure_ascii=False)``
-    would, with each ZChain value written as its chain JSON and each list of
-    Words as its word list JSON.
+    would, with each ZChain or zchain.Terms value written as its chain JSON
+    and each list of Words as its word list JSON.
 
     The text goes to ``sys.stdout``, looked up here, as a stream of pieces:
     a chain or word list a few terms at a time, so its whole text is never
-    held.  Whatever would make the result unprintable is found before the
-    first byte is written, so a refused result leaves stdout empty: every
-    key and every other value is encoded (a lone surrogate in an echoed
-    name cannot be), and the chain and word writers check the digit limit
-    when called.  Their text is ASCII, so it needs no encoding check.
+    held, and the terms of a Terms value are made as they are written.
+    Whatever would make the result unprintable is found before the first
+    byte is written, so a refused result leaves stdout empty: every key and
+    every other value is encoded (a lone surrogate in an echoed name cannot
+    be), and the chain and word writers check the digit limit when called.
+    Their text is ASCII, so it needs no encoding check.
     """
     stdout = sys.stdout
     # A ZChain or a Word exists only once its module is loaded, so look it
@@ -117,7 +118,11 @@ def _emit(payload: dict) -> None:
         for key, value in payload.items():
             head = (",\n  " if parts else "{\n  ") + json.dumps(key, ensure_ascii=False) + ": "
             head.encode(encoding, errors)
-            if zchain is not None and isinstance(value, zchain.ZChain):
+            if zchain is not None and isinstance(value, zchain.Terms):
+                from . import jsonio
+
+                pieces = jsonio.terms_pieces(value, "  ")
+            elif zchain is not None and isinstance(value, zchain.ZChain):
                 from . import jsonio
 
                 pieces = jsonio.chain_pieces(value, "  ")
@@ -246,10 +251,10 @@ def cmd_trace_image(args, group):
 
 
 def cmd_decompose(args, group):
-    from .fullshift import coboundary_decompose
+    from .fullshift import coboundary_terms
 
     chain = _load_chain(args.fn)
-    witness, canonical = coboundary_decompose(group, chain)
+    witness, canonical = coboundary_terms(group, chain)
     return {
         "group": group.name,
         "witness": witness,
@@ -273,13 +278,12 @@ def cmd_livsic(args, group):
 
 
 def cmd_cylinder_expand(args, group):
-    from .fullshift import cylinder_to_chain
+    from .fullshift import cylinder_terms
 
     raw = _parse_json_arg("--spec", args.spec)
     if not isinstance(raw, dict):
         raise UsageError("--spec: expected an object of position -> value")
-    chain = cylinder_to_chain(group, raw.items())
-    return {"group": group.name, "chain": chain}, 0
+    return {"group": group.name, "chain": cylinder_terms(group, raw.items())}, 0
 
 
 def cmd_selfcheck(args, group):

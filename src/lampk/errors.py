@@ -6,6 +6,8 @@ invocations (unparseable JSON, unknown flags) are usage errors and stay out
 of this hierarchy.
 """
 
+import sys
+
 
 class LampkError(Exception):
     """Base class for domain errors raised by lampk."""
@@ -38,7 +40,8 @@ class BudgetError(LampkError):
 def exact_int(value, what: str) -> int:
     """The integer ``value`` denotes, read as int() reads it; a bool, or a
     number int() would truncate, is an error.  A string of digits (a JSON
-    object key) is read as its integer."""
+    object key) is read as its integer; one past the interpreter's digit
+    limit is an error that states the limit, not the string."""
     if type(value) is int:
         return value
     try:
@@ -46,6 +49,9 @@ def exact_int(value, what: str) -> int:
         if isinstance(value, bool) or (not isinstance(value, str) and n != value):
             raise ValueError
     except (TypeError, ValueError, OverflowError) as exc:
+        if isinstance(value, str) and str(exc).startswith("Exceeds the limit"):
+            limit = sys.get_int_max_str_digits()
+            raise LampkError(f"{what} has more than {limit} digits") from exc
         raise LampkError(f"{what} must be an integer, got {value!r}") from exc
     return n
 

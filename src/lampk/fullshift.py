@@ -75,8 +75,14 @@ def cylinder_to_chain(group: GroupRepData, pins) -> ZChain:
     d_sigma is 1, so a trivial pin expands into (unconstrained) minus the
     sum over the nontrivial values at that position, with coefficients +-1.
     """
+    return zchain._ordered_chain(cylinder_terms(group, pins))
+
+
+def cylinder_terms(group: GroupRepData, pins) -> zchain.Terms:
+    """The terms of ``cylinder_to_chain(group, pins)`` in word order, made
+    as they are taken; every check runs before this returns."""
     require_abelian(group)
-    return zchain.projection_chain(group, pins)
+    return zchain.projection_terms(group, pins)
 
 
 def coboundary_decompose(group: GroupRepData, f: ZChain) -> zchain.Decomposition:
@@ -91,6 +97,14 @@ def coboundary_decompose(group: GroupRepData, f: ZChain) -> zchain.Decomposition
     then holds at every point.  g is built in the same telescoping pass
     as m would be, each step shifted once more and negated.
     """
+    g, h = coboundary_terms(group, f)
+    return zchain.Decomposition(zchain._ordered_chain(g), h)
+
+
+def coboundary_terms(group: GroupRepData, f: ZChain) -> tuple[zchain.Terms, ZChain]:
+    """``coboundary_decompose(group, f)`` with g as its terms in word order,
+    made as they are taken; every check runs, and h is built, before this
+    returns."""
     require_abelian(group)
     check_alphabet(group, f)
     return zchain._telescope(f, 1, -1)

@@ -5,10 +5,11 @@ of {"word", "coeff"} sorted in word order with the zero chain as []; group
 data is {"name", "order", "dims"}; traces are emitted as {"num", "den"}.
 Chains and words re-parse to the same value.  Nothing here checks a value
 against its group or reads an integer: the constructors and the library
-entries a value goes to do, through errors.exact_int.  Chains and
-word lists are written as a stream of pieces of a few terms or words
-each, never as one text; the digit limit is checked before the first
-piece.
+entries a value goes to do, through errors.exact_int.  Chains, the
+Terms of a chain made as they are taken, and word lists are written as a
+stream of pieces of a few terms or words each, never as one text, by one
+writer for terms and one for words; the digit limit is checked before
+the first piece, from the largest integer to be written.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import TYPE_CHECKING
 from .errors import LampkError, exact_int  # noqa: F401  (exact_int is importable here too)
 from .grouprep import GroupRepData
 from .shiftwords import Word
-from .zchain import ZChain
+from .zchain import Terms, ZChain
 
 if TYPE_CHECKING:  # fractions loads decimal, and only an annotation names it
     from fractions import Fraction
@@ -67,14 +68,11 @@ def _entries_writer(n: str):
     return entries_text
 
 
-def _check_digits(words, coeffs=()) -> None:
-    """Raise the ValueError that str() raises on an integer past the
-    interpreter's digit limit if writing these words and coefficients would
-    raise it.  The limit counts digits, not the sign, and the positions of
-    largest magnitude are the smallest first position and the largest last
-    one, so formatting the largest magnitude once raises exactly when some
-    integer would.  Irrep indices are left out: each is below its group's
-    number of irreps."""
+def _largest(words, coeffs=()) -> int:
+    """The largest magnitude of an integer written with these words and
+    coefficients.  The positions of largest magnitude are the smallest
+    first position and the largest last one.  Irrep indices are left out:
+    each is below its group's number of irreps."""
     largest = max(map(abs, coeffs), default=0)
     entries = list(filter(None, map(attrgetter("entries"), words)))
     if entries:
@@ -82,7 +80,7 @@ def _check_digits(words, coeffs=()) -> None:
         lo = min(map(itemgetter(0), entries))[0]
         hi = max(map(itemgetter(-1), entries))[0]
         largest = max(largest, abs(lo), abs(hi))
-    str(largest)
+    return largest
 
 
 def _array_pieces(items, n: str):
@@ -98,34 +96,43 @@ def _array_pieces(items, n: str):
     yield f"{n}]" if head == sep else "[]"
 
 
-def chain_pieces(chain: ZChain, indent: str = ""):
-    """``json.dumps(chain_to_json(chain), indent=2)`` as pieces of text of a
-    few terms each, written straight from the terms, with ``indent`` after
-    every newline.  Every term has the same shape, so no dicts are built for
-    the encoder to walk (with an indent it takes its pure-Python path), and
-    a caller nesting the chain in an indented object needs no second,
-    re-indented copy.  The digit limit is checked when this is called, so a
-    chain that cannot be written raises ValueError before the first piece;
-    the pieces are made as they are taken, and are ASCII."""
-    _check_digits(chain, map(itemgetter(1), chain.items()))
+def terms_pieces(terms: Terms, indent: str = ""):
+    """``json.dumps(chain_to_json(chain), indent=2)``, for the chain of these
+    terms, as pieces of text of a few terms each, written straight from the
+    terms, with ``indent`` after every newline.  Every term has the same
+    shape, so no dicts are built for the encoder to walk (with an indent it
+    takes its pure-Python path), and a caller nesting the chain in an
+    indented object needs no second, re-indented copy.  ``str`` of
+    ``terms.largest`` is taken when this is called: the interpreter's digit
+    limit counts digits, not the sign, so it raises exactly when writing
+    some term would, and terms that cannot be written raise its ValueError
+    before the first piece.  The pieces are made as they are taken, and
+    are ASCII."""
+    str(terms.largest)
     n = "\n" + indent
     entries_text = _entries_writer(n + "      ")
     return _array_pieces(
         (
             f'  {{{n}    "word": {{{n}      {entries_text(word.entries)}{n}    }},{n}'
             f'    "coeff": {coeff}{n}  }}'
-            for word, coeff in chain.terms()
+            for word, coeff in terms
         ),
         n,
     )
 
 
+def chain_pieces(chain: ZChain, indent: str = ""):
+    """``terms_pieces`` of the chain's terms."""
+    largest = _largest(chain, map(itemgetter(1), chain.items()))
+    return terms_pieces(Terms(chain.terms(), largest), indent)
+
+
 def words_pieces(words: list[Word], indent: str = ""):
     """``json.dumps([word_to_json(w) for w in words], indent=2)`` as pieces of
     text of a few words each, written straight from the entries as
-    chain_pieces writes a chain, with ``indent`` after every newline and the
+    terms_pieces writes a chain, with ``indent`` after every newline and the
     digit limit checked when this is called."""
-    _check_digits(words)
+    str(_largest(words))
     n = "\n" + indent
     entries_text = _entries_writer(n + "    ")
     return _array_pieces((f"  {{{n}    {entries_text(word.entries)}{n}  }}" for word in words), n)

@@ -13,7 +13,7 @@ identity holds term-exactly, not just up to equivalence.
 
 from __future__ import annotations
 
-from itertools import islice, pairwise, product, repeat
+from itertools import chain as concat, islice, pairwise, product, repeat, starmap
 from math import prod
 from typing import NamedTuple
 
@@ -119,6 +119,29 @@ class ZChain:
         return f"ZChain<{body}>"
 
 
+class Terms:
+    """A chain's (word, coefficient) pairs in word order, made as they are
+    taken, and ``largest``, the largest magnitude of any position or
+    coefficient among them (0 for no terms), known before the first term:
+    a writer can refuse a chain it cannot print with no term made.  The
+    pairs can be taken once; ``dict`` of them is the chain's coefficients,
+    in word order, since no word comes twice."""
+
+    __slots__ = ("_pairs", "largest")
+
+    def __init__(self, pairs, largest: int):
+        self._pairs = pairs
+        self.largest = largest
+
+    def __iter__(self):
+        return iter(self._pairs)
+
+
+def _ordered_chain(terms: Terms) -> ZChain:
+    """The chain of these terms, kept in the word order they come in."""
+    return _trusted_chain(dict(terms), ordered=True)
+
+
 def _trusted_chain(coeffs: dict, ordered: bool = False) -> ZChain:
     """The chain with these coefficients, which must all be nonzero ints:
     no pass through ZChain.__init__.  ``ordered`` says the dict already
@@ -145,8 +168,9 @@ def is_invariant(chain: ZChain) -> bool:
 
 # Entries one witness may stand for, counted over its words: a one-entry
 # C2 word at offset 2^17 is split, in word order, in about 0.2 s, and
-# `lampk decompose` on it, printing 14 MB of JSON, takes about 0.5 to
-# 0.7 s cold at 45 MB peak RSS (Python 3.11 on a 2-core Intel Xeon).
+# `lampk decompose` on it, printing 14 MB of JSON as the witness terms are
+# made, takes about 0.45 to 0.6 s cold at 28 MB peak RSS, most of it the
+# run's one shared column of pairs (Python 3.11 on a 2-core Intel Xeon).
 MAX_WITNESS_TERMS = 1 << 17
 
 
@@ -167,21 +191,26 @@ def decompose(chain: ZChain) -> Decomposition:
     sum |offset| * len(entries) entries; more than MAX_WITNESS_TERMS
     entries raise BudgetError before any term is built.
     """
-    return _telescope(chain, 0, 1)
+    witness, canonical = _telescope(chain, 0, 1)
+    return Decomposition(_ordered_chain(witness), canonical)
 
 
-def _telescope(chain: ZChain, step: int, sign: int) -> Decomposition:
-    """``decompose`` with each witness word shifted ``step`` more places and
-    each witness coefficient multiplied by ``sign``: step 1 and sign -1 give
-    the witness -alpha(m) in one pass, with no chain m built first.
+def _telescope(chain: ZChain, step: int, sign: int) -> tuple[Terms, ZChain]:
+    """``decompose``, with the witness as its Terms, and with each witness
+    word shifted ``step`` more places and each witness coefficient
+    multiplied by ``sign``: step 1 and sign -1 give the witness -alpha(m) in
+    one pass, with no chain m built first.
 
-    Both chains are built in word order, with no merging and no sort of
-    their words.  The words are grouped by orbit and only the orbit
-    representatives are sorted: the words of one orbit differ only in
-    their position, the last place of ``Word.sort_key``, so each orbit's
-    witness words follow its representative in ascending position.  The
-    witness coefficient at shift(rep, t + step) is sign times a running sum
-    over t: shift(rep, k) adds its coefficient at t = k and removes it at 0.
+    Everything but the witness terms is done before this returns: the
+    budget check, the grouping by orbit, the canonical chain, and the runs
+    of the witness.  Both chains come in word order, with no merging and no
+    sort of their words: only the orbit representatives are sorted, as the
+    words of one orbit differ only in their position, the last place of
+    ``Word.sort_key``, so each orbit's witness words follow its
+    representative in ascending position.  The witness coefficient at
+    shift(rep, t + step) is sign times a running sum over t: shift(rep, k)
+    adds its coefficient at t = k and removes it at 0, and each stretch
+    [a, b) of one nonzero sum is a run.
     """
     check_budget(
         "splitting the chain",
@@ -193,7 +222,7 @@ def _telescope(chain: ZChain, step: int, sign: int) -> Decomposition:
         rep, offset = canonicalize(word)
         offsets = orbits.setdefault(rep, {})
         offsets[offset] = offsets.get(offset, 0) + coeff
-    witness, canonical = {}, {}
+    runs, canonical, largest = [], {}, 0
     for rep in sorted(orbits, key=Word.sort_key):
         diffs = orbits[rep]
         total = sum(diffs.values())
@@ -203,20 +232,27 @@ def _telescope(chain: ZChain, step: int, sign: int) -> Decomposition:
         running = 0
         for t, end in pairwise(sorted(diffs)):
             running += diffs[t]
-            if running:  # shift(rep, u) for u in [a, b): entries of one index that
-                # overlap share a column of pairs, and no column spans rep's gaps
-                a, b, cols, columns = t + step, end + step, [], {}
-                for p, i in rep.entries:
-                    first, pairs = columns.get(i, (p + a, []))
-                    if first + len(pairs) <= p + a:
-                        first, pairs = columns[i] = p + a, []
-                    pairs += zip(range(first + len(pairs), p + b), repeat(i))
-                    cols.append(islice(pairs, p + a - first, p + b - first))
-                witness.update(zip(map(_trusted_word, zip(*cols)), repeat(sign * running)))
-    return Decomposition(
-        witness=_trusted_chain(witness, ordered=True),
-        canonical=_trusted_chain(canonical, ordered=True),
-    )
+            if running:  # rep is not empty: the empty word has offset 0 only
+                a, b, coeff = t + step, end + step, sign * running
+                runs.append((rep, a, b, coeff))
+                # the run's positions go from a to rep's last one plus b - 1
+                largest = max(largest, abs(a), abs(rep.entries[-1][0] + b - 1), abs(coeff))
+    witness = Terms(concat.from_iterable(starmap(_run_terms, runs)), largest)
+    return witness, _trusted_chain(canonical, ordered=True)
+
+
+def _run_terms(rep: Word, a: int, b: int, coeff: int):
+    """The terms (shift(rep, u), coeff) for u in [a, b), in word order.
+    Entries of one index that overlap share a column of pairs, and no
+    column spans rep's gaps."""
+    cols, columns = [], {}
+    for p, i in rep.entries:
+        first, pairs = columns.get(i, (p + a, []))
+        if first + len(pairs) <= p + a:
+            first, pairs = columns[i] = p + a, []
+        pairs += zip(range(first + len(pairs), p + b), repeat(i))
+        cols.append(islice(pairs, p + a - first, p + b - first))
+    return zip(map(_trusted_word, zip(*cols)), repeat(coeff))
 
 
 def coinvariant_class(chain: ZChain) -> ZChain:
@@ -231,8 +267,9 @@ def coinvariant_class(chain: ZChain) -> ZChain:
 
 # Terms one projection expansion may build: C2 with 16 trivial pins
 # (65 536 terms) expands, in word order, in about 0.25 s, and `lampk
-# cylinder-expand` on it, printing 15 MB of JSON, takes about 0.6 to 1.0 s
-# cold at 28 MB peak RSS (Python 3.11 on a 2-core Intel Xeon).
+# cylinder-expand` on it, printing 15 MB of JSON as the terms are made,
+# takes about 0.7 to 1.0 s cold at 18 MB peak RSS (Python 3.11 on a 2-core
+# Intel Xeon).
 MAX_CYLINDER_TERMS = 1 << 16
 
 
@@ -246,11 +283,19 @@ def projection_chain(group: GroupRepData, pins) -> ZChain:
     (position left out) or -d_sigma (letter sigma).  Pinning a level tuple
     t at 0, 1, ... gives Phi(t) = word(t) + words with more entries, so Phi
     is unitriangular on the complement basis of ``colimitk``, and it kills
-    the induction map, as the appended d_sigma [p_sigma] sum to [1].  A
-    position or value that is not an integer, a negative or out-of-range
-    index, a position given twice, or more than MAX_CYLINDER_TERMS terms
-    (r^k for k trivial pins) raise before any term is built.  The chain is
-    built in word order, block by block through ``_product_words``.
+    the induction map, as the appended d_sigma [p_sigma] sum to [1].  The
+    chain is built from ``projection_terms``, which says what is refused.
+    """
+    return _ordered_chain(projection_terms(group, pins))
+
+
+def projection_terms(group: GroupRepData, pins) -> Terms:
+    """The terms of ``projection_chain(group, pins)``, made as they are
+    taken.  A position or value that is not an integer, a negative or
+    out-of-range index, a position given twice, or more than
+    MAX_CYLINDER_TERMS terms (r^k for k trivial pins) raise here, before
+    any term is built.  The terms come in word order, block by block
+    through ``_product_words``.
     """
     r = group.num_irreps
     pins = sorted(
@@ -264,9 +309,10 @@ def projection_chain(group: GroupRepData, pins) -> ZChain:
             raise LampkError(f"constraint value {idx} out of range for {group.name}")
         if i and pins[i - 1][0] == pos:
             raise LampkError(f"duplicate position {pos} in word entries")
+    trivial = sum(i == 0 for _, i in pins)
     check_budget(
         f"expanding the trivial pins of a {group.name} cylinder",
-        lambda k: r**k, MAX_CYLINDER_TERMS, "terms", steps=sum(i == 0 for _, i in pins),
+        lambda k: r**k, MAX_CYLINDER_TERMS, "terms", steps=trivial,
     )
     from heapq import merge
 
@@ -290,8 +336,12 @@ def projection_chain(group: GroupRepData, pins) -> ZChain:
             letters, weights = zip(*places)
             block = zip(_product_words(letters), map(prod, product(*weights)))
             blocks.setdefault(pins[l][0] - pins[f][0], []).append(block)
-    # with no fixed pin, the empty word (every pin left out) comes first
-    coeffs = {} if fixed else {EMPTY_WORD: 1}
-    for span in sorted(blocks):  # blocks of one window length are merged
-        coeffs.update(merge(*blocks[span], key=lambda t: t[0].sort_key()))
-    return _trusted_chain(coeffs, ordered=True)
+    # Blocks of one window length are merged.  With no fixed pin, the empty
+    # word (every pin left out) comes first.
+    merged = [merge(*blocks[span], key=lambda t: t[0].sort_key()) for span in sorted(blocks)]
+    terms = concat(*merged) if fixed else concat(((EMPTY_WORD, 1),), *merged)
+    if not pins:
+        return Terms(terms, 1)
+    # The block that spans every pin holds letters at the first and last
+    # ones, and a word in it with a largest weight at every trivial pin.
+    return Terms(terms, max(abs(pins[0][0]), abs(pins[-1][0]), max(group.dims[1:]) ** trivial))

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import random
@@ -12,11 +14,17 @@ from hypothesis import strategies as st
 
 from lampk import cli, jsonio
 from lampk.cli import MAX_CHAIN_FILE_CHARS, main
-from lampk.errors import LampkError
-from lampk.fullshift import coboundary_decompose, cylinder_to_chain, livsic_check
+from lampk.errors import BudgetError, LampkError
+from lampk.fullshift import (
+    coboundary_decompose,
+    coboundary_terms,
+    cylinder_terms,
+    cylinder_to_chain,
+    livsic_check,
+)
 from lampk.grouprep import GroupRepData, builtin
 from lampk.shiftwords import Word, enumerate_canonical
-from lampk.zchain import ZChain, alpha
+from lampk.zchain import ZChain, _telescope, alpha, decompose, projection_chain, projection_terms
 
 
 def run_cli(capsys, *argv):
@@ -125,6 +133,98 @@ def test_chains_and_word_lists_are_written_a_few_terms_at_a_time(monkeypatch):
         # a few terms' worth a write, never the whole text joined
         assert len(dump) > 100_000
         assert max(map(len, recorder.writes)) <= 4096
+
+
+# --- chains written as their terms are made ----------------------------------
+
+
+def main_output(*argv):
+    """(exit code, stdout, stderr) of the CLI in process, with no fixture."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def in_word_order(chain):
+    return sorted(chain.items(), key=lambda term: term[0].sort_key())
+
+
+def assert_terms_are_the_chain(terms, chain):
+    """dict of the terms is the chain, term for term and in word order, and
+    their ``largest`` is the largest integer the chain's JSON holds."""
+    largest = terms.largest
+    pairs = list(terms)
+    assert list(dict(pairs).items()) == pairs == list(chain.items()) == in_word_order(chain)
+    assert largest == jsonio._largest(chain, [c for _, c in pairs])
+
+
+# chains drawn as above, with positions near the origin or past the witness
+# budget, so that a witness is either quick to build or refused
+far = st.integers(2**17 + 1, 10**40)
+split_positions = st.integers(-40, 40) | far | far.map(int.__neg__)
+split_words = st.dictionaries(split_positions, st.integers(0, 4), max_size=5).map(Word)
+split_chains = st.lists(st.tuples(split_words, coefficients), max_size=6).map(ZChain)
+C5 = builtin("C5")
+
+
+@settings(max_examples=150, deadline=None)
+@given(split_chains)
+@example(ZChain())
+@example(ZChain.of(Word({0: 1, 5: 2}), 3) - ZChain.of(Word({2: 1, 7: 2}), 3))
+def test_witness_terms_are_the_library_witness(chain):
+    try:
+        reference = coboundary_decompose(C5, chain)
+    except BudgetError:
+        with pytest.raises(BudgetError):
+            coboundary_terms(C5, chain)
+        code, out, err = main_output(
+            "decompose", "--group", "C5", "--fn", json.dumps(jsonio.chain_to_json(chain)))
+        assert (code, out, json.loads(err)["error"]["type"]) == (1, "", "BudgetError")
+        return
+    witness, canonical = coboundary_terms(C5, chain)
+    assert canonical == reference.canonical
+    assert_terms_are_the_chain(witness, reference.witness)
+    terms, canonical = _telescope(chain, 0, 1)
+    assert canonical == decompose(chain).canonical
+    assert_terms_are_the_chain(terms, decompose(chain).witness)
+    payload = {
+        "group": "C5",
+        "witness": jsonio.chain_to_json(reference.witness),
+        "canonical": jsonio.chain_to_json(reference.canonical),
+    }
+    fn = json.dumps(jsonio.chain_to_json(chain))
+    assert main_output("decompose", "--group", "C5", "--fn", fn) == (
+        0, json.dumps(payload, indent=2) + "\n", "")
+
+
+@st.composite
+def group_and_pins(draw):
+    """A group, S3 among them, and pins near the origin or far from it."""
+    group = builtin(draw(st.sampled_from(["C2", "C3", "klein4", "S3", "D4"])))
+    pins = draw(st.lists(positions, unique=True, max_size=6))
+    return group, [(p, draw(st.integers(0, group.num_irreps - 1))) for p in pins]
+
+
+@settings(max_examples=150, deadline=None)
+@given(group_and_pins())
+@example((builtin("S3"), [(-2, 0), (0, 2), (3, 0)]))
+@example((builtin("C2"), []))
+def test_cylinder_terms_are_the_library_chain(case):
+    group, pins = case
+    chain = projection_chain(group, pins)
+    assert_terms_are_the_chain(projection_terms(group, pins), chain)
+    if group.name == "S3" and any(v == 0 for _, v in pins):
+        # the letter of the 2-dimensional irrep comes with weight -2
+        assert any(c % 2 == 0 for _, c in chain.items())
+    if not group.is_abelian:
+        return
+    assert_terms_are_the_chain(cylinder_terms(group, pins), cylinder_to_chain(group, pins))
+    group_arg = json.dumps({"name": group.name, "order": group.order, "dims": list(group.dims)})
+    spec = json.dumps({str(p): v for p, v in pins})
+    payload = {"group": group.name, "chain": jsonio.chain_to_json(chain)}
+    assert main_output("cylinder-expand", "--group", group_arg, "--spec", spec) == (
+        0, json.dumps(payload, indent=2) + "\n", "")
 
 
 def test_group_round_trip():
@@ -474,6 +574,12 @@ def test_integers_past_the_digit_limit_end_in_the_contract(capsys):
                   '{"word": {"entries": {"0": 1, "5": 1}}, "coeff": %s}' % ("9" * 4300),
                   '{"word": {"entries": {"1": 1, "6": 1}}, "coeff": %s}' % ("9" * 4300))],
              "LampkError"),
+            # emitted: the canonical part is 0, and the witness coefficient on
+            # [2, 5) is two 4 300-digit ones added up
+            (["decompose", "--group", "C2", "--fn",
+              "[%s]" % ", ".join([term % (1, "9" * 4300), term % (2, "9" * 4300),
+                                  term % (5, "-" + "9" * 4300), term % (6, "-" + "9" * 4300)])],
+             "LampkError"),
             # refused before computing: 2^14 285 has 4 301 digits
             (["trace-image", "--group", "C2", "--level", "14285"], "BudgetError"),
         ]
@@ -483,6 +589,34 @@ def test_integers_past_the_digit_limit_end_in_the_contract(capsys):
             assert json.loads(err)["error"]["type"] == error_type
         data = run_json(capsys, "trace-image", "--group", "C2", "--level", "14284")
         assert data["generator"] == {"num": 1, "den": 2**14284}
+        # a far trivial pin's position has 4 301 digits: the writer refuses
+        # the terms when called, before its first piece
+        s3, pins = builtin("S3"), [(10**4300, 0), (0, 2)]
+        with pytest.raises(ValueError):
+            jsonio.terms_pieces(projection_terms(s3, pins))
+        with pytest.raises(ValueError):
+            jsonio.chain_pieces(projection_chain(s3, pins))
+    finally:
+        sys.set_int_max_str_digits(old_limit)
+
+
+@pytest.mark.parametrize(
+    ("command", "flag", "argument", "what"),
+    [
+        ("decompose", "--fn", '[{"word": {"entries": {"%s": 1}}, "coeff": 1}]', "word position"),
+        ("trace", "--word", '{"%s": 1}', "word position"),
+        ("cylinder-expand", "--spec", '{"0": "%s"}', "cylinder value"),
+    ],
+)
+def test_digit_strings_past_the_limit_are_not_echoed(capsys, command, flag, argument, what):
+    old_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        argv = [command, "--group", "C2", flag, argument % ("1" + "0" * 4300)]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        error = json.loads(err)["error"]
+        assert error == {"type": "LampkError", "message": f"{what} has more than 4300 digits"}
     finally:
         sys.set_int_max_str_digits(old_limit)
 

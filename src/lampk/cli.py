@@ -23,7 +23,7 @@ import sys
 import types
 
 from . import BOUNDARY_IDENTITY, DEFAULT_SEED
-from .errors import LampkError, check_budget
+from .errors import LampkError, check_budget, quoted
 from .grouprep import GroupRepData, builtin, csalgebras_isomorphic_abelian_case, fingerprint
 
 class UsageError(Exception):
@@ -51,7 +51,7 @@ def _parse_json_arg(flag: str, text: str):
             seen = set()
             for key, _ in pairs:
                 if key in seen:
-                    key = json.dumps(key, ensure_ascii=False)
+                    key = quoted(key, lambda k: json.dumps(k, ensure_ascii=False))
                     raise LampkError(f"{flag}: key {key} given twice in one object")
                 seen.add(key)
         return obj
@@ -94,12 +94,13 @@ def _load_chain(path_or_json: str):
 
 def _emit(payload: dict) -> None:
     """Print the payload as ``json.dumps(payload, indent=2, ensure_ascii=False)``
-    would, with each ZChain or zchain.Terms value written as its chain JSON
-    and each list of Words as its word list JSON.
+    would, with each zchain.Terms value written as its chain JSON and each
+    list of Words as its word list JSON.
 
     The text goes to ``sys.stdout``, looked up here, as a stream of pieces:
     a chain or word list a few terms at a time, so its whole text is never
-    held, and the terms of a Terms value are made as they are written.
+    held, and a chain's terms are made as they are written, in the word
+    order they are built in, with no sort.
     Whatever would make the result unprintable is found before the first
     byte is written, so a refused result leaves stdout empty: every key and
     every other value is encoded (a lone surrogate in an echoed name cannot
@@ -107,8 +108,8 @@ def _emit(payload: dict) -> None:
     Their text is ASCII, so it needs no encoding check.
     """
     stdout = sys.stdout
-    # A ZChain or a Word exists only once its module is loaded, so look it
-    # up rather than import it on every subcommand's path.
+    # Terms or a Word exist only once their module is loaded, so look the
+    # module up rather than import it on every subcommand's path.
     zchain = sys.modules.get(f"{__package__}.zchain")
     shiftwords = sys.modules.get(f"{__package__}.shiftwords")
     encoding = getattr(stdout, "encoding", None) or "utf-8"
@@ -122,10 +123,6 @@ def _emit(payload: dict) -> None:
                 from . import jsonio
 
                 pieces = jsonio.terms_pieces(value, "  ")
-            elif zchain is not None and isinstance(value, zchain.ZChain):
-                from . import jsonio
-
-                pieces = jsonio.chain_pieces(value, "  ")
             elif (
                 shiftwords is not None
                 and isinstance(value, list)

@@ -37,11 +37,27 @@ class BudgetError(LampkError):
     """A computation would exceed one of the package's size limits."""
 
 
+# Characters of an outside value an error message quotes: a longer quote is
+# cut there, so a message never echoes all of a long input.
+MAX_QUOTED_CHARS = 64
+
+
+def quoted(value, form=repr) -> str:
+    """``form(value)``, its repr by default, as an error message quotes it:
+    past MAX_QUOTED_CHARS characters it is cut, and the length it was cut
+    from is stated."""
+    text = form(value)
+    if len(text) <= MAX_QUOTED_CHARS:
+        return text
+    return f"{text[:MAX_QUOTED_CHARS]}... (cut from {len(text)} characters)"
+
+
 def exact_int(value, what: str) -> int:
     """The integer ``value`` denotes, read as int() reads it; a bool, or a
     number int() would truncate, is an error.  A string of digits (a JSON
     object key) is read as its integer; one past the interpreter's digit
-    limit is an error that states the limit, not the string."""
+    limit is an error that states the limit, not the string, and any other
+    value is quoted through ``quoted``."""
     if type(value) is int:
         return value
     try:
@@ -52,7 +68,7 @@ def exact_int(value, what: str) -> int:
         if isinstance(value, str) and str(exc).startswith("Exceeds the limit"):
             limit = sys.get_int_max_str_digits()
             raise LampkError(f"{what} has more than {limit} digits") from exc
-        raise LampkError(f"{what} must be an integer, got {value!r}") from exc
+        raise LampkError(f"{what} must be an integer, got {quoted(value)}") from exc
     return n
 
 

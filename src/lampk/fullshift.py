@@ -51,18 +51,11 @@ def beta_eval(group: GroupRepData, chain: ZChain, x: tuple[int, ...]) -> int:
     """Value at the periodic point x (a pattern) of the function the chain
     denotes.
 
-    A word's indicator contributes 1 exactly when x matches every stored
-    (nontrivial) entry; coefficients add up Z-linearly.
+    Coefficients add up Z-linearly over the words' indicators.
     """
     require_abelian(group)
     check_alphabet(group, chain)
-    x = _pattern(group, x)
-    n = len(x)
-    total = 0
-    for word, coeff in chain.items():
-        if all(x[p % n] == idx for p, idx in word.entries):
-            total += coeff
-    return total
+    return _rotations_sum(chain, _pattern(group, x), 1)
 
 
 def cylinder_to_chain(group: GroupRepData, pins) -> ZChain:
@@ -75,7 +68,7 @@ def cylinder_to_chain(group: GroupRepData, pins) -> ZChain:
     d_sigma is 1, so a trivial pin expands into (unconstrained) minus the
     sum over the nontrivial values at that position, with coefficients +-1.
     """
-    return zchain._ordered_chain(cylinder_terms(group, pins))
+    return zchain._trusted_chain(dict(cylinder_terms(group, pins)))
 
 
 def cylinder_terms(group: GroupRepData, pins) -> zchain.Terms:
@@ -98,13 +91,13 @@ def coboundary_decompose(group: GroupRepData, f: ZChain) -> zchain.Decomposition
     as m would be, each step shifted once more and negated.
     """
     g, h = coboundary_terms(group, f)
-    return zchain.Decomposition(zchain._ordered_chain(g), h)
+    return zchain.Decomposition(zchain._trusted_chain(dict(g)), zchain._trusted_chain(dict(h)))
 
 
-def coboundary_terms(group: GroupRepData, f: ZChain) -> tuple[zchain.Terms, ZChain]:
-    """``coboundary_decompose(group, f)`` with g as its terms in word order,
-    made as they are taken; every check runs, and h is built, before this
-    returns."""
+def coboundary_terms(group: GroupRepData, f: ZChain) -> tuple[zchain.Terms, zchain.Terms]:
+    """``coboundary_decompose(group, f)`` as the terms of g and of h in word
+    order, g's made as they are taken; every check runs, and h's
+    coefficients are found, before this returns."""
     require_abelian(group)
     check_alphabet(group, f)
     return zchain._telescope(f, 1, -1)
@@ -121,11 +114,19 @@ def periodic_orbit_sum(group: GroupRepData, f: ZChain, x: tuple[int, ...]) -> in
     require_abelian(group)
     check_alphabet(group, f)
     pattern = _pattern(group, x)
+    return _rotations_sum(f, pattern, len(pattern))
+
+
+def _rotations_sum(f: ZChain, pattern: tuple[int, ...], rotations: int) -> int:
+    """Sum of the function at the pattern shifted by k = 0, ..., rotations - 1,
+    unchecked: the callers check the group, the letters and the pattern.
+    A word's indicator contributes 1 at a shift exactly when the pattern
+    matches every stored (nontrivial) entry there."""
     n = len(pattern)
     total = 0
     for word, coeff in f.items():
         entries = word.entries
-        for k in range(n):
+        for k in range(rotations):
             for p, idx in entries:
                 if pattern[(p - k) % n] != idx:
                     break
@@ -243,8 +244,10 @@ def livsic_check(
     )
     if not zchain.coinvariant_class(f):
         return LivsicReport(True, True, max_period)
+    # every pattern the scan lists is one of the group's, so the checks
+    # above stand for each orbit sum
     for point in orbit_representatives(group, max_period):
-        total = periodic_orbit_sum(group, f, point)
+        total = _rotations_sum(f, point, len(point))
         if total != 0:
             return LivsicReport(
                 False, False, max_period, violating_orbit=point, violating_sum=total

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import CatalogError, GroupDataError, check_budget, exact_int
+from .errors import CatalogError, GroupDataError, check_budget, exact_int, quoted
 
 ISO = "iso"
 NOT_ISO = "not-iso"
@@ -117,7 +117,7 @@ def builtin(name: str) -> GroupRepData:
     are klein4, S3, D4, Q8, A4, S4 and A5 (case-insensitive).
     """
     if not isinstance(name, str):
-        raise CatalogError(f"group name must be a string, got {name!r}")
+        raise CatalogError(f"group name must be a string, got {quoted(name)}")
     cyclic = _CYCLIC_RE.match(name.strip())
     if cyclic:
         try:
@@ -132,7 +132,7 @@ def builtin(name: str) -> GroupRepData:
         if key.lower() == name.strip().lower():
             return GroupRepData(name=key, order=order, dims=dims)
     available = "C<n> (n >= 2), " + ", ".join(_CATALOG)
-    raise CatalogError(f"unknown group {name!r}; available: {available}")
+    raise CatalogError(f"unknown group {quoted(name)}; available: {available}")
 
 
 def fingerprint(group: GroupRepData) -> tuple[int, tuple[int, ...], int]:

@@ -5,11 +5,12 @@ of {"word", "coeff"} sorted in word order with the zero chain as []; group
 data is {"name", "order", "dims"}; traces are emitted as {"num", "den"}.
 Chains and words re-parse to the same value.  Nothing here checks a value
 against its group or reads an integer: the constructors and the library
-entries a value goes to do, through errors.exact_int.  Chains, the
-Terms of a chain made as they are taken, and word lists are written as a
-stream of pieces of a few terms or words each, never as one text, by one
-writer for terms and one for words; the digit limit is checked before
-the first piece, from the largest integer to be written.
+entries a value goes to do, through errors.exact_int.  A chain is written
+from its Terms, the pairs made as they are taken in word order, and a word
+list from its words: each as a stream of pieces of a few terms or words,
+never as one text, by one writer for terms and one for words; the digit
+limit is checked before the first piece, from the largest integer to be
+written.
 """
 
 from __future__ import annotations
@@ -119,12 +120,6 @@ def terms_pieces(terms: Terms, indent: str = ""):
         ),
         n,
     )
-
-
-def chain_pieces(chain: ZChain, indent: str = ""):
-    """``terms_pieces`` of the chain's terms."""
-    largest = _largest(chain, map(itemgetter(1), chain.items()))
-    return terms_pieces(Terms(chain.terms(), largest), indent)
 
 
 def words_pieces(words: list[Word], indent: str = ""):

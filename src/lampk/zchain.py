@@ -26,11 +26,9 @@ class ZChain:
     """Finite integer combination of words; coefficients arbitrary ints.
 
     Zero coefficients are never stored, so equal dicts are equal chains.
-    A chain built by ``decompose`` or ``projection_chain`` holds its words
-    in word order already, and is marked so.
     """
 
-    __slots__ = ("_coeffs", "_ordered")
+    __slots__ = ("_coeffs",)
 
     def __init__(self, terms=()):
         """The sum of the (word, coefficient) pairs; repeated words add up."""
@@ -45,7 +43,6 @@ class ZChain:
             else:
                 del coeffs[word]
         self._coeffs = coeffs
-        self._ordered = False
 
     @classmethod
     def of(cls, word: Word, coeff: int = 1) -> ZChain:
@@ -100,15 +97,10 @@ class ZChain:
 
     def terms(self):
         """(word, coefficient) pairs in the deterministic word order
-        (``Word.sort_key``), made as they are taken.  A chain from
-        ``decompose``, ``coboundary_decompose`` or ``projection_chain`` is
-        built in that order and yields its terms as they stand; any other
-        chain (from ``ZChain(...)`` or arithmetic) sorts its words, and
-        only its words, first."""
+        (``Word.sort_key``), made as they are taken once the words, and
+        only the words, are sorted.  A chain the CLI prints is never sorted
+        here: it is written from the Terms it is built from."""
         coeffs = self._coeffs
-        if self._ordered:
-            yield from coeffs.items()
-            return
         for word in sorted(coeffs, key=Word.sort_key):
             yield word, coeffs[word]
 
@@ -137,18 +129,11 @@ class Terms:
         return iter(self._pairs)
 
 
-def _ordered_chain(terms: Terms) -> ZChain:
-    """The chain of these terms, kept in the word order they come in."""
-    return _trusted_chain(dict(terms), ordered=True)
-
-
-def _trusted_chain(coeffs: dict, ordered: bool = False) -> ZChain:
+def _trusted_chain(coeffs: dict) -> ZChain:
     """The chain with these coefficients, which must all be nonzero ints:
-    no pass through ZChain.__init__.  ``ordered`` says the dict already
-    lists its words in word order, so ``terms`` need not sort them."""
+    no pass through ZChain.__init__."""
     chain = object.__new__(ZChain)
     chain._coeffs = coeffs
-    chain._ordered = ordered
     return chain
 
 
@@ -192,22 +177,22 @@ def decompose(chain: ZChain) -> Decomposition:
     entries raise BudgetError before any term is built.
     """
     witness, canonical = _telescope(chain, 0, 1)
-    return Decomposition(_ordered_chain(witness), canonical)
+    return Decomposition(_trusted_chain(dict(witness)), _trusted_chain(dict(canonical)))
 
 
-def _telescope(chain: ZChain, step: int, sign: int) -> tuple[Terms, ZChain]:
-    """``decompose``, with the witness as its Terms, and with each witness
+def _telescope(chain: ZChain, step: int, sign: int) -> tuple[Terms, Terms]:
+    """``decompose``, with both chains as their Terms, and with each witness
     word shifted ``step`` more places and each witness coefficient
     multiplied by ``sign``: step 1 and sign -1 give the witness -alpha(m) in
     one pass, with no chain m built first.
 
     Everything but the witness terms is done before this returns: the
-    budget check, the grouping by orbit, the canonical chain, and the runs
-    of the witness.  Both chains come in word order, with no merging and no
-    sort of their words: only the orbit representatives are sorted, as the
-    words of one orbit differ only in their position, the last place of
-    ``Word.sort_key``, so each orbit's witness words follow its
-    representative in ascending position.  The witness coefficient at
+    budget check, the grouping by orbit, the canonical coefficients, and
+    the runs of the witness.  Both chains come in word order, with no
+    merging and no sort of their words: only the orbit representatives are
+    sorted, as the words of one orbit differ only in their position, the
+    last place of ``Word.sort_key``, so each orbit's witness words follow
+    its representative in ascending position.  The witness coefficient at
     shift(rep, t + step) is sign times a running sum over t: shift(rep, k)
     adds its coefficient at t = k and removes it at 0, and each stretch
     [a, b) of one nonzero sum is a run.
@@ -222,12 +207,14 @@ def _telescope(chain: ZChain, step: int, sign: int) -> tuple[Terms, ZChain]:
         rep, offset = canonicalize(word)
         offsets = orbits.setdefault(rep, {})
         offsets[offset] = offsets.get(offset, 0) + coeff
-    runs, canonical, largest = [], {}, 0
+    runs, canonical, largest, canonical_largest = [], {}, 0, 0
     for rep in sorted(orbits, key=Word.sort_key):
         diffs = orbits[rep]
         total = sum(diffs.values())
         if total:
             canonical[rep] = total
+            # rep starts at 0, so its last position is its largest one
+            canonical_largest = max(canonical_largest, rep.max_support or 0, abs(total))
         diffs[0] = diffs.get(0, 0) - total
         running = 0
         for t, end in pairwise(sorted(diffs)):
@@ -238,7 +225,7 @@ def _telescope(chain: ZChain, step: int, sign: int) -> tuple[Terms, ZChain]:
                 # the run's positions go from a to rep's last one plus b - 1
                 largest = max(largest, abs(a), abs(rep.entries[-1][0] + b - 1), abs(coeff))
     witness = Terms(concat.from_iterable(starmap(_run_terms, runs)), largest)
-    return witness, _trusted_chain(canonical, ordered=True)
+    return witness, Terms(canonical.items(), canonical_largest)
 
 
 def _run_terms(rep: Word, a: int, b: int, coeff: int):
@@ -286,7 +273,7 @@ def projection_chain(group: GroupRepData, pins) -> ZChain:
     the induction map, as the appended d_sigma [p_sigma] sum to [1].  The
     chain is built from ``projection_terms``, which says what is refused.
     """
-    return _ordered_chain(projection_terms(group, pins))
+    return _trusted_chain(dict(projection_terms(group, pins)))
 
 
 def projection_terms(group: GroupRepData, pins) -> Terms:

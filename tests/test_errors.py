@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lampk.errors import BudgetError, LampkError, check_budget, exact_int
+from lampk.cli import main
+from lampk.errors import MAX_QUOTED_CHARS, BudgetError, LampkError, check_budget, exact_int, quoted
 
 
 def test_plain_count():
@@ -67,6 +68,32 @@ def test_huge_step_counts_build_no_huge_integer():
 def test_exact_int_reads_integers(value, expected):
     n = exact_int(value, "x")
     assert n == expected and type(n) is int
+
+
+def test_short_values_are_quoted_whole():
+    for value, text in (("a", "'a'"), (True, "True"), ("1.5", "'1.5'"), (1.5, "1.5")):
+        assert quoted(value) == text
+    key = "k" * MAX_QUOTED_CHARS
+    assert quoted(key, str) == key
+    assert quoted(key + "k", str) == f"{key}... (cut from {MAX_QUOTED_CHARS + 1} characters)"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["trace", "--group", "C2", "--word", '{"%s": 1}' % ("x" * 5000)],
+        ["fingerprint", "--group", "q" * 5000],
+        ["cylinder-expand", "--group", "C2", "--spec", '{"%s": 0, "%s": 1}' % (("k" * 5000,) * 2)],
+    ],
+)
+def test_long_values_are_not_echoed_whole(capsys, argv):
+    # a 5 000-character value as a word position, a group name and a
+    # repeated key: the message quotes its start and states its length
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert len(err.encode()) < 300
+    assert "(cut from 5002 characters)" in err
 
 
 @pytest.mark.parametrize(

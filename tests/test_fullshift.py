@@ -303,7 +303,17 @@ def test_livsic_output_matches_the_orbit_sum_definition(capsys, monkeypatch):
     fast = outputs()
     assert any('"violating_orbit": null' in out for _, (out, _) in fast)
     assert any('"violating_orbit": [' in out for _, (out, _) in fast)
-    monkeypatch.setattr(fullshift, "periodic_orbit_sum", _orbit_sum_by_shifts)
+
+    def sum_by_shifts(f, x, rotations):
+        # the definition, read off each shifted point
+        return sum(
+            coeff
+            for k in range(rotations)
+            for word, coeff in f.items()
+            if all(shifted(x, k)[p % len(x)] == idx for p, idx in word.entries)
+        )
+
+    monkeypatch.setattr(fullshift, "_rotations_sum", sum_by_shifts)
     assert outputs() == fast
 
 

@@ -1,16 +1,20 @@
+import io
+import json
+import sys
 import time
 from fractions import Fraction
 from itertools import product
 from math import prod
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from lampk import intdet, shiftwords, zchain
+from lampk import cli, intdet, jsonio, shiftwords, zchain
 from lampk.colimitk import complement_tuples, f_apply, level_tuples, tuple_dim
 from lampk.errors import GroupDataError, LampkError
-from lampk.fullshift import coboundary_decompose, cylinder_to_chain
+from lampk.fullshift import coboundary_decompose, cylinder_terms, cylinder_to_chain
 from lampk.grouprep import _CATALOG, GroupRepData, builtin
 from lampk.lamplighterk import trace_of_chain
 from lampk.shiftwords import EMPTY_WORD, Word, canonicalize, enumerate_canonical, shift
@@ -458,13 +462,29 @@ def test_other_chains_are_written_in_word_order(x, y, k):
 
 
 def test_built_chains_are_written_with_no_sort_key(monkeypatch):
+    # once decompose or cylinder-expand returns, writing its payload adds no
+    # Word.sort_key call to those its builder makes: decompose's terms make
+    # none, and a cylinder's make only the ones merging its blocks
+    c3 = builtin("C3")
     chain = ZChain.of(Word({-3: 1, 0: 2}), 2) + ZChain.of(Word({5: 1})) + ZChain.of(Word({2: 1}))
-    built = [projection_chain(builtin("C3"), [(p, 0) for p in range(4)]), *decompose(chain)]
+    pins = [(p, 0) for p in range(4)]
+    fn = json.dumps(jsonio.chain_to_json(chain))
+    spec = json.dumps({str(p): v for p, v in pins})
+    decomposed, _ = cli.cmd_decompose(SimpleNamespace(fn=fn), c3)
+    expanded, _ = cli.cmd_cylinder_expand(SimpleNamespace(spec=spec), c3)
     calls = []
     monkeypatch.setattr(Word, "sort_key", lambda word: calls.append(word) or ())
-    for built_chain in built:
-        list(built_chain.terms())
+    monkeypatch.setattr(sys, "stdout", io.StringIO())
+    cli._emit(decomposed)
     assert calls == []
+    assert json.loads(sys.stdout.getvalue())["witness"]
+    cli._emit(expanded)
+    emitted = len(calls)
+    del calls[:]
+    list(cylinder_terms(c3, pins))
+    assert emitted == len(calls) > 0
+    # any ZChain's terms sort its words
+    del calls[:]
     list(chain.terms())
     assert len(calls) == len(chain) == 3
 

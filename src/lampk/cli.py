@@ -224,26 +224,24 @@ def cmd_pv_check(args, group):
 
 def cmd_trace(args, group):
     from . import jsonio
-    from .lamplighterk import trace_of_word
+    from .lamplighterk import trace_pair_of_word
 
     word = jsonio.word_from_json(_parse_json_arg("--word", args.word))
-    value = trace_of_word(group, word)
     return {
         "group": group.name,
         "word": jsonio.word_to_json(word),
-        "trace": jsonio.fraction_to_json(value),
+        "trace": jsonio.ratio_to_json(*trace_pair_of_word(group, word)),
     }, 0
 
 
 def cmd_trace_image(args, group):
     from . import jsonio
-    from .lamplighterk import trace_image_level
+    from .lamplighterk import trace_image_pair
 
-    generator = trace_image_level(group, args.level)
     return {
         "group": group.name,
         "level": args.level,
-        "generator": jsonio.fraction_to_json(generator),
+        "generator": jsonio.ratio_to_json(*trace_image_pair(group, args.level)),
     }, 0
 
 

@@ -24,7 +24,7 @@ from itertools import product
 from typing import NamedTuple
 
 from . import intdet
-from .errors import LampkError, TruncationError, check_budget, exact_int
+from .errors import LampkError, TruncationError, check_budget, exact_int, quoted
 from .grouprep import GroupRepData
 
 MAX_CERTIFICATE_COLUMNS = 100_000
@@ -173,7 +173,7 @@ def claim_check(group: GroupRepData, levels: int) -> ClaimCertificate:
     if levels < 2:
         raise LampkError(f"levels must be >= 2, got {levels}")
     check_budget(
-        f"the certificate of {group.name} at {levels} levels",
+        f"the certificate of {quoted(group.name, str)} at {levels} levels",
         lambda n: total_size(group, n), MAX_CERTIFICATE_COLUMNS, "columns",
         steps=levels,
     )

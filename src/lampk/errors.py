@@ -45,8 +45,13 @@ MAX_QUOTED_CHARS = 64
 def quoted(value, form=repr) -> str:
     """``form(value)``, its repr by default, as an error message quotes it:
     past MAX_QUOTED_CHARS characters it is cut, and the length it was cut
-    from is stated."""
-    text = form(value)
+    from is stated.  A value holding an integer past the interpreter's digit
+    limit has no text: its type is stated instead."""
+    try:
+        text = form(value)
+    except ValueError:  # an integer past the digit limit
+        limit = sys.get_int_max_str_digits()
+        return f"a value of type {type(value).__name__} past the {limit}-digit limit"
     if len(text) <= MAX_QUOTED_CHARS:
         return text
     return f"{text[:MAX_QUOTED_CHARS]}... (cut from {len(text)} characters)"

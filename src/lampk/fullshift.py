@@ -21,7 +21,7 @@ from collections.abc import Iterator
 from typing import NamedTuple
 
 from . import zchain
-from .errors import LampkError, NonAbelianGroupError, check_budget, exact_int
+from .errors import LampkError, NonAbelianGroupError, check_budget, exact_int, quoted
 from .grouprep import GroupRepData
 from .shiftwords import check_alphabet
 from .zchain import ZChain
@@ -30,7 +30,7 @@ from .zchain import ZChain
 def require_abelian(group: GroupRepData) -> None:
     if not group.is_abelian:
         raise NonAbelianGroupError(
-            f"{group.name} is not abelian: the function model on the dual "
+            f"{quoted(group.name, str)} is not abelian: the function model on the dual "
             "needs every irreducible representation to be 1-dimensional"
         )
 
@@ -43,7 +43,8 @@ def _pattern(group: GroupRepData, x) -> tuple[int, ...]:
         raise LampkError("a periodic point needs a nonempty pattern")
     r = group.num_irreps
     if not all(0 <= v < r for v in x):
-        raise LampkError(f"pattern values are irrep indices of {group.name}, below {r}")
+        name = quoted(group.name, str)
+        raise LampkError(f"pattern values are irrep indices of {name}, below {r}")
     return x
 
 
@@ -233,7 +234,7 @@ def livsic_check(
     if max_period < 1:
         raise LampkError(f"max_period must be >= 1, got {max_period}")
     r = group.num_irreps
-    scan = f"an orbit scan of {group.name}"
+    scan = f"an orbit scan of {quoted(group.name, str)}"
 
     def patterns(n):
         return sum(r**p for p in range(1, n + 1))

@@ -34,24 +34,24 @@ class GroupRepData:
         order = exact_int(order, "group order")
         dims = tuple(exact_int(d, "irrep dimension") for d in dims)
         if order < 2:
-            raise GroupDataError(f"{name!r}: order must be at least 2, got {order}")
+            raise GroupDataError(f"{quoted(name)}: order must be at least 2, got {order}")
         if not dims or dims[0] != 1:
             raise GroupDataError(
-                f"{name!r}: index 0 must be the trivial representation "
+                f"{quoted(name)}: index 0 must be the trivial representation "
                 f"(dims[0] = 1), got dims = {dims}"
             )
         if any(d < 1 for d in dims):
-            raise GroupDataError(f"{name!r}: irrep dimensions must be positive")
+            raise GroupDataError(f"{quoted(name)}: irrep dimensions must be positive")
         square_sum = sum(d * d for d in dims)
         if square_sum != order:
             raise GroupDataError(
-                f"{name!r}: sum of squared dimensions is {square_sum}, "
+                f"{quoted(name)}: sum of squared dimensions is {square_sum}, "
                 f"expected the group order {order}"
             )
         abelian_order = sum(1 for d in dims if d == 1)
         if order % abelian_order != 0:
             raise GroupDataError(
-                f"{name!r}: count of 1-dimensional irreps "
+                f"{quoted(name)}: count of 1-dimensional irreps "
                 f"({abelian_order}) does not divide the order {order}"
             )
         for attr, value in zip(self.__slots__, (name, order, dims, abelian_order)):

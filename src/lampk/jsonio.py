@@ -2,7 +2,8 @@
 
 Words carry string integer keys ({"entries": {"0": 1}}); chains are arrays
 of {"word", "coeff"} sorted in word order with the zero chain as []; group
-data is {"name", "order", "dims"}; traces are emitted as {"num", "den"}.
+data is {"name", "order", "dims"}; traces are emitted as {"num", "den"}
+from their reduced integer pairs.
 Chains and words re-parse to the same value.  Nothing here checks a value
 against its group or reads an integer: the constructors and the library
 entries a value goes to do, through errors.exact_int.  A chain is written
@@ -17,15 +18,11 @@ from __future__ import annotations
 
 from itertools import islice
 from operator import attrgetter, itemgetter
-from typing import TYPE_CHECKING
 
 from .errors import LampkError, exact_int  # noqa: F401  (exact_int is importable here too)
 from .grouprep import GroupRepData
 from .shiftwords import Word
 from .zchain import Terms, ZChain
-
-if TYPE_CHECKING:  # fractions loads decimal, and only an annotation names it
-    from fractions import Fraction
 
 
 def group_from_json(data: dict) -> GroupRepData:
@@ -142,5 +139,6 @@ def chain_from_json(data: list) -> ZChain:
         raise LampkError(f"malformed chain JSON: {exc}") from exc
 
 
-def fraction_to_json(value: Fraction) -> dict:
-    return {"num": value.numerator, "den": value.denominator}
+def ratio_to_json(num: int, den: int) -> dict:
+    """A reduced ratio, such as a trace pair, as {"num", "den"}."""
+    return {"num": num, "den": den}

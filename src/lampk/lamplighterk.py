@@ -3,7 +3,9 @@ sampled check of the kernel/cokernel bookkeeping in ``zchain``.
 
 The trace of a basis word is the product of its entry dimensions over |F|
 to the support size, an exact rational; levelwise these traces generate
-exactly 1/|F|^n of the integers.  The K_0 basis itself is
+exactly 1/|F|^n of the integers.  Each trace is computed as a reduced
+integer pair (num, den); the public trace_of_* and trace_image_level
+return it as a Fraction.  The K_0 basis itself is
 ``shiftwords.enumerate_canonical``; ``zchain.projection_chain`` joins it
 to the levelwise model of ``colimitk``.
 """
@@ -16,63 +18,96 @@ from math import gcd
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import zchain
-from .errors import LampkError, check_budget, exact_int
+from .errors import LampkError, check_budget, exact_int, quoted
 from .grouprep import GroupRepData
 from .sampling import random_chain, window_range
 from .shiftwords import EMPTY_WORD, Word, canonicalize, check_alphabet
 from .zchain import ZChain
 
-if TYPE_CHECKING:  # fractions loads decimal: only the traces import it
+# fractions loads decimal: only the Fraction-valued entries import it, when
+# called, and the CLI prints the integer pairs.
+if TYPE_CHECKING:
     from fractions import Fraction
 
 
-def trace_of_word(group: GroupRepData, word: Word) -> Fraction:
-    """Trace of the minimal-projection class of a word, as a reduced fraction.
+def _reduced(num: int, den: int) -> tuple[int, int]:
+    g = gcd(num, den)
+    return num // g, den // g
 
-    Product of the entry dimensions over |F| raised to the support size;
-    the empty word is the class of the unit, trace 1.
-    """
-    from fractions import Fraction
 
-    check_alphabet(group, (word,))
+def _dims_product(group: GroupRepData, word: Word) -> int:
     numerator = 1
     for _, idx in word.entries:
         numerator *= group.dims[idx]
-    return Fraction(numerator, group.order ** len(word.entries))
+    return numerator
 
 
-def trace_of_chain(group: GroupRepData, chain: ZChain) -> Fraction:
-    """Z-linear extension of trace_of_word."""
-    from fractions import Fraction
+def trace_pair_of_word(group: GroupRepData, word: Word) -> tuple[int, int]:
+    """The trace of a word as the reduced pair (num, den), den > 0: the
+    product of its entry dimensions over |F| to its support size, reduced
+    by one gcd.  The empty word is the class of the unit, trace (1, 1)."""
+    check_alphabet(group, (word,))
+    return _reduced(_dims_product(group, word), group.order ** len(word.entries))
 
-    total = Fraction(0)
+
+def trace_pair_of_chain(group: GroupRepData, chain: ZChain) -> tuple[int, int]:
+    """The Z-linear extension of trace_pair_of_word: every term over the
+    common denominator |F|^(largest support size), reduced once."""
+    check_alphabet(group, chain)
+    sizes = {len(word.entries) for word in chain}
+    support = max(sizes, default=0)
+    scale = {k: group.order ** (support - k) for k in sizes}
+    numerator = 0
     for word, coeff in chain.items():
-        total += coeff * trace_of_word(group, word)
-    return total
+        numerator += coeff * _dims_product(group, word) * scale[len(word.entries)]
+    return _reduced(numerator, group.order**support)
 
 
-def trace_image_level(group: GroupRepData, n: int) -> Fraction:
-    """Positive generator of the trace values on words supported in [0, n).
+def trace_image_pair(group: GroupRepData, n: int) -> tuple[int, int]:
+    """The positive generator of the trace values on words supported in
+    [0, n), as the pair (num, den).
 
     Over the denominator |F|^n each position contributes |F| (trivial
     letter) or d_sigma to the numerator, and the gcd of a product set is
     the product of the gcds: gcd(|F|, d_1, ..., d_{r-1})^n / |F|^n.  As
-    |F| = sum of d_sigma^2 with d_0 = 1, that gcd is 1.  A denominator
-    with more digits than the interpreter prints raises BudgetError before
-    it is computed.
+    |F| = sum of d_sigma^2 with d_0 = 1, that gcd is 1, so the pair is
+    reduced.  A denominator with more digits than the interpreter prints
+    raises BudgetError before it is computed.
     """
-    from fractions import Fraction
-
     n = exact_int(n, "level")
     if n < 0:
         raise LampkError(f"level must be >= 0, got {n}")
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if digits:
         check_budget(
-            f"the level-{n} denominator |{group.name}|^{n}",
+            f"the level-{n} denominator |{quoted(group.name, str)}|^{n}",
             lambda k: group.order**k, 10**digits - 1, "digits", steps=n, stated=digits,
         )
-    return Fraction(gcd(group.order, *group.dims[1:]) ** n, group.order**n)
+    return gcd(group.order, *group.dims[1:]) ** n, group.order**n
+
+
+def trace_of_word(group: GroupRepData, word: Word) -> Fraction:
+    """Trace of the minimal-projection class of a word: trace_pair_of_word
+    as a Fraction."""
+    from fractions import Fraction
+
+    return Fraction(*trace_pair_of_word(group, word))
+
+
+def trace_of_chain(group: GroupRepData, chain: ZChain) -> Fraction:
+    """Z-linear extension of trace_of_word: trace_pair_of_chain as a
+    Fraction."""
+    from fractions import Fraction
+
+    return Fraction(*trace_pair_of_chain(group, chain))
+
+
+def trace_image_level(group: GroupRepData, n: int) -> Fraction:
+    """Positive generator of the trace values on words supported in
+    [0, n): trace_image_pair as a Fraction."""
+    from fractions import Fraction
+
+    return Fraction(*trace_image_pair(group, n))
 
 
 class PVReport(NamedTuple):

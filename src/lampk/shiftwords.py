@@ -13,7 +13,7 @@ from collections.abc import Mapping
 from itertools import chain, product
 from typing import Iterable
 
-from .errors import LampkError, check_budget, exact_int
+from .errors import LampkError, check_budget, exact_int, quoted
 from .grouprep import GroupRepData
 
 
@@ -141,7 +141,8 @@ def check_alphabet(group: GroupRepData, words: Iterable[Word]) -> None:
     for word in words:
         for _, idx in word.entries:
             if idx >= r:
-                raise LampkError(f"word entry {idx} out of range for {group.name} ({r} irreps)")
+                name = quoted(group.name, str)
+                raise LampkError(f"word entry {idx} out of range for {name} ({r} irreps)")
 
 
 def shift(word: Word, k: int) -> Word:
@@ -196,7 +197,7 @@ def enumerate_canonical(group: GroupRepData, max_len: int) -> list[Word]:
     if max_len < 1:
         raise LampkError(f"max_len must be >= 1, got {max_len}")
     check_budget(
-        f"listing the words of {group.name} at max_len {max_len}",
+        f"listing the words of {quoted(group.name, str)} at max_len {max_len}",
         lambda n: canonical_count(group, n), MAX_CANONICAL_WORDS,
         "canonical words", steps=max_len,
     )

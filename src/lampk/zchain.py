@@ -17,7 +17,7 @@ from itertools import chain as concat, islice, pairwise, product, repeat, starma
 from math import prod
 from typing import NamedTuple
 
-from .errors import LampkError, check_budget, exact_int
+from .errors import LampkError, check_budget, exact_int, quoted
 from .grouprep import GroupRepData
 from .shiftwords import EMPTY_WORD, Word, _product_words, _trusted_word, canonicalize, shift
 
@@ -293,12 +293,12 @@ def projection_terms(group: GroupRepData, pins) -> Terms:
         if idx < 0:
             raise LampkError(f"irrep index must be >= 0, got {idx}")
         if idx >= r:
-            raise LampkError(f"constraint value {idx} out of range for {group.name}")
+            raise LampkError(f"constraint value {idx} out of range for {quoted(group.name, str)}")
         if i and pins[i - 1][0] == pos:
             raise LampkError(f"duplicate position {pos} in word entries")
     trivial = sum(i == 0 for _, i in pins)
     check_budget(
-        f"expanding the trivial pins of a {group.name} cylinder",
+        f"expanding the trivial pins of a {quoted(group.name, str)} cylinder",
         lambda k: r**k, MAX_CYLINDER_TERMS, "terms", steps=trivial,
     )
     from heapq import merge

@@ -244,7 +244,8 @@ def test_group_round_trip():
 
 
 def test_fraction_round_trip():
-    assert jsonio.fraction_to_json(Fraction(-3, 8)) == {"num": -3, "den": 8}
+    value = Fraction(-3, 8)
+    assert jsonio.ratio_to_json(value.numerator, value.denominator) == {"num": -3, "den": 8}
 
 
 # --- commands ----------------------------------------------------------------

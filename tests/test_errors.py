@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -94,6 +95,30 @@ def test_long_values_are_not_echoed_whole(capsys, argv):
     assert (code, out) == (1, "")
     assert len(err.encode()) < 300
     assert "(cut from 5002 characters)" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fingerprint", "--group", '{"name": "%s", "order": 3, "dims": [1, 1]}' % ("q" * 5000)],
+        ["cylinder-expand", "--group", '{"name": "%s", "order": 2, "dims": [1, 1]}' % ("q" * 5000),
+         "--spec", '{"0": 5}'],
+    ],
+)
+def test_long_group_names_are_not_echoed_whole(capsys, argv):
+    # a group's checks and the checks against a group quote its name
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert len(err.encode()) < 300
+    assert "characters)" in err
+
+
+def test_numbers_past_the_digit_limit_are_quoted_by_type():
+    limit = sys.get_int_max_str_digits()
+    assert quoted(10**5000) == f"a value of type int past the {limit}-digit limit"
+    with pytest.raises(LampkError, match="^coeff must be an integer, got a value of type Fraction past the"):
+        exact_int(Fraction(10**5000, 3), "coeff")
 
 
 @pytest.mark.parametrize(

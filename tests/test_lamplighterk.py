@@ -8,12 +8,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lampk.errors import BudgetError, LampkError
-from lampk.grouprep import _CATALOG, builtin
+from lampk.grouprep import _CATALOG, GroupRepData, builtin
 from lampk.lamplighterk import (
     pv_check,
     trace_image_level,
+    trace_image_pair,
     trace_of_chain,
     trace_of_word,
+    trace_pair_of_chain,
+    trace_pair_of_word,
 )
 from lampk.sampling import random_chain, window_range
 from lampk.shiftwords import EMPTY_WORD, Word
@@ -79,6 +82,51 @@ def test_trace_descends_to_classes(chain):
     assert trace_of_chain(s3, chain) == trace_of_chain(
         s3, coinvariant_class(chain)
     )
+
+
+# Catalog groups, and inline groups of up to five irreps built from their
+# dims vector (|F| is the sum of the squares).
+groups_st = st.sampled_from(["C2", "C3", "C5", *_CATALOG]).map(builtin) | st.lists(
+    st.integers(1, 4), min_size=1, max_size=4
+).map(lambda dims: (1, *dims)).filter(
+    lambda dims: sum(d * d for d in dims) % dims.count(1) == 0
+).map(lambda dims: GroupRepData("inline", sum(d * d for d in dims), dims))
+
+
+def _assert_reduced(pair, value):
+    num, den = pair
+    assert type(num) is int and type(den) is int
+    assert den > 0 and gcd(num, den) == 1
+    assert (num, den) == (value.numerator, value.denominator)
+
+
+@given(st.data())
+def test_trace_pairs_are_reduced_and_are_the_fractions(data):
+    group = data.draw(groups_st)
+    letters = st.integers(1, group.num_irreps - 1)
+    words = st.builds(Word, st.dictionaries(st.integers(-4, 4), letters, max_size=4))
+    word = data.draw(words)
+    chain = data.draw(st.builds(ZChain, st.lists(st.tuples(words, st.integers(-9, 9)), max_size=4)))
+    level = data.draw(st.integers(0, 6))
+    _assert_reduced(trace_pair_of_word(group, word), trace_of_word(group, word))
+    _assert_reduced(trace_pair_of_chain(group, chain), trace_of_chain(group, chain))
+    _assert_reduced(trace_image_pair(group, level), trace_image_level(group, level))
+    expected = Fraction(0)
+    for w, coeff in chain.items():
+        expected += coeff * trace_of_word(group, w)
+    assert trace_of_chain(group, chain) == expected
+
+
+def test_trace_pairs_are_reduced_once():
+    s3 = builtin("S3")
+    assert trace_pair_of_word(s3, Word({0: 2})) == (1, 3)  # 2/6
+    assert trace_pair_of_word(s3, EMPTY_WORD) == (1, 1)
+    assert trace_pair_of_chain(s3, ZChain()) == (0, 1)
+    assert trace_pair_of_chain(s3, ZChain.of(Word({0: 2}), 3)) == (1, 1)
+    # 2/6 + 1/36 over the common denominator 36
+    chain = ZChain.of(Word({0: 2})) + ZChain.of(Word({0: 1, 1: 1}))
+    assert trace_pair_of_chain(s3, chain) == (13, 36)
+    assert trace_image_pair(s3, 3) == (1, 216)
 
 
 def test_trace_image_levels():

@@ -98,6 +98,14 @@ def test_k1_loads_no_word_or_trace_code():
     assert loaded.isdisjoint({"lampk.lamplighterk", "lampk.shiftwords", "random", "fractions"})
 
 
+def test_traces_load_no_fractions_or_decimal():
+    # the CLI prints the traces from their integer pairs
+    loaded = _modules_after(_main("trace", "--group", "S3", "--word", '{"0": 2}'))
+    assert loaded.isdisjoint({"fractions", "decimal"})
+    loaded = _modules_after(_main("trace-image", "--group", "S3", "--level", "3"))
+    assert loaded.isdisjoint({"fractions", "decimal"})
+
+
 def test_k0_basis_loads_no_trace_or_sampling_code():
     loaded = _modules_after(_main("k0-basis", "--group", "S3", "--max-len", "2"))
     assert "lampk.shiftwords" in loaded

@@ -13,6 +13,7 @@ entries throughout the package are indices into ``dims``.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 
 from .errors import CatalogError, GroupDataError, check_budget, exact_int, quoted
 
@@ -32,6 +33,10 @@ class GroupRepData:
 
     def __init__(self, name: str, order: int, dims):
         order = exact_int(order, "group order")
+        if not isinstance(name, str):
+            raise GroupDataError(f"group name must be a string, got {quoted(name)}")
+        if isinstance(dims, (str, bytes, bytearray, Mapping)):
+            raise GroupDataError(f"{quoted(name)}: dims must be a list, got {quoted(dims)}")
         dims = tuple(exact_int(d, "irrep dimension") for d in dims)
         if order < 2:
             raise GroupDataError(f"{quoted(name)}: order must be at least 2, got {order}")

@@ -27,7 +27,7 @@ from .zchain import Terms, ZChain
 
 def group_from_json(data: dict) -> GroupRepData:
     try:
-        return GroupRepData(str(data["name"]), data["order"], data["dims"])
+        return GroupRepData(data["name"], data["order"], data["dims"])
     except (KeyError, TypeError) as exc:
         raise LampkError(f"malformed group JSON: {exc}") from exc
 

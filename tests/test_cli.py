@@ -273,6 +273,21 @@ def test_inline_group_non_integer_is_domain_error(capsys):
         assert "must be an integer" in json.loads(err)["error"]["message"]
 
 
+def test_inline_group_of_the_wrong_shape_is_domain_error(capsys):
+    # dims given as a string or an object, or a name that is not a string,
+    # is refused, not read digit by digit, key by key or through its repr
+    for inline, message in (
+        ('{"name": "x", "order": 2, "dims": "11"}', "dims must be a list"),
+        ('{"name": "x", "order": 2, "dims": {"1": 0, "01": 0}}', "dims must be a list"),
+        ('{"name": ["x"], "order": 2, "dims": [1, 1]}', "name must be a string"),
+        ('{"name": 6, "order": 6, "dims": [1, 1, 2]}', "name must be a string"),
+    ):
+        code, out, err = run_cli(capsys, "fingerprint", "--group", inline)
+        assert (code, out) == (1, "")
+        error = json.loads(err)["error"]
+        assert error["type"] == "GroupDataError" and message in error["message"]
+
+
 def test_classify(capsys):
     assert run_json(capsys, "classify", "--group", "C4", "--other", "klein4")[
         "decision"

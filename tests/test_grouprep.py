@@ -84,6 +84,14 @@ def test_validate():
         GroupRepData(name="bad", order=1, dims=(1,))
     with pytest.raises(GroupDataError, match="divide"):
         GroupRepData(name="bad", order=7, dims=(1, 1, 1, 2))
+    # a string, bytes or mapping is not read one character, byte or key at a
+    # time as if it were a list, and a name is a string, not printed as a repr
+    for dims in ("11", b"\x01\x01", bytearray(b"\x01\x01"), {"1": 0, "01": 0}, {1: 0, 2: 0}):
+        with pytest.raises(GroupDataError, match="dims must be a list"):
+            GroupRepData(name="bad", order=2, dims=dims)
+    for name in (["x"], 6, None, b"x"):
+        with pytest.raises(GroupDataError, match="group name must be a string"):
+            GroupRepData(name=name, order=2, dims=(1, 1))
 
 
 def test_group_rep_data_is_an_immutable_value():

@@ -2,8 +2,9 @@ import io
 import json
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from math import prod
 from types import SimpleNamespace
 
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from lampk import cli, intdet, jsonio, shiftwords, zchain
 from lampk.colimitk import complement_tuples, f_apply, level_tuples, tuple_dim
 from lampk.errors import GroupDataError, LampkError
-from lampk.fullshift import coboundary_decompose, cylinder_terms, cylinder_to_chain
+from lampk.fullshift import coboundary_decompose, coboundary_terms, cylinder_terms, cylinder_to_chain
 from lampk.grouprep import _CATALOG, GroupRepData, builtin
 from lampk.lamplighterk import trace_of_chain
 from lampk.shiftwords import EMPTY_WORD, Word, canonicalize, enumerate_canonical, shift
@@ -441,14 +442,31 @@ def test_decompositions_are_built_in_word_order(c):
     ],
 )
 @pytest.mark.parametrize("offset", [-300, 90])
-def test_witness_words_share_their_pairs(rep, offset):
-    # the witness words of one word share one (position, index) pair per
-    # distinct entry, also where entries of one index overlap when shifted
+def test_witness_terms_are_the_shifts_of_their_rep(rep, offset):
+    # shift(rep, offset) telescopes to rep through one run of the words
+    # shift(rep, u), u from offset to 0, with coefficient 1 below 0 and -1
+    # above; the coboundary's g shifts each word once more and negates it
     chain = ZChain.of(shift(rep, offset))
-    for witness in (decompose(chain).witness, coboundary_decompose(builtin("C3"), chain).witness):
-        pairs = [e for w in witness for e in w.entries]
-        assert len(witness) == abs(offset)
-        assert len({id(e) for e in pairs}) == len(set(pairs))
+    lo, hi, c = (offset, 0, 1) if offset < 0 else (0, offset, -1)
+    for (step, sign), (witness, _) in (
+        ((0, 1), zchain._telescope(chain, 0, 1)),
+        ((1, -1), coboundary_terms(builtin("C3"), chain)),
+    ):
+        assert list(witness) == [(shift(rep, u + step), sign * c) for u in range(lo, hi)]
+
+
+def test_witness_terms_are_made_as_they_are_taken():
+    # the first terms of a run at the witness limit are made with nothing
+    # built for the terms after them
+    word = Word({-131072: 1})
+    tracemalloc.start()
+    try:
+        first = list(islice(zchain._telescope(ZChain.of(word), 0, 1)[0], 8))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert first == [(shift(word, u), 1) for u in range(8)]
+    assert peak < 1 << 20
 
 
 @given(chains_st, chains_st, st.integers(-3, 3))

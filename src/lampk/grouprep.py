@@ -59,6 +59,13 @@ class GroupRepData:
                 f"{quoted(name)}: count of 1-dimensional irreps "
                 f"({abelian_order}) does not divide the order {order}"
             )
+        # Frobenius: every irrep dimension divides the group order
+        for d in dict.fromkeys(dims):
+            if order % d:
+                raise GroupDataError(
+                    f"{quoted(name)}: irrep dimension {quoted(d)} does not divide "
+                    f"the order {quoted(order)}"
+                )
         for attr, value in zip(self.__slots__, (name, order, dims, abelian_order)):
             object.__setattr__(self, attr, value)
 

@@ -4,14 +4,18 @@ Words carry string integer keys ({"entries": {"0": 1}}); chains are arrays
 of {"word", "coeff"} sorted in word order with the zero chain as []; group
 data is {"name", "order", "dims"}; traces are emitted as {"num", "den"}
 from their reduced integer pairs.
-Chains and words re-parse to the same value.  Nothing here checks a value
-against its group or reads an integer: the constructors and the library
-entries a value goes to do, through errors.exact_int.  A chain is written
-from its Terms, the pairs made as they are taken in word order, and a word
-list from its words: each as a stream of pieces of a few terms or words,
-never as one text, by one writer for terms and one for words; the digit
-limit is checked before the first piece, from the largest integer to be
-written.
+Chains and words re-parse to the same value.  A JSON value that stands
+for an integer must be a JSON integer (``json_int``): "1" and 1.0, which
+errors.exact_int reads as 1 for library callers, are refused, while
+object keys are still read by exact_int.  Values are checked pair by pair
+as the library reads them, so the first refusal and its message are the
+ones the library would give.  Nothing here checks a value against its
+group: the constructors and the library entries a value goes to do.  A
+chain is written from its Terms, the pairs made as they are taken in word
+order, and a word list from its words: each as a stream of pieces of a few
+terms or words, never as one text, by one writer for terms and one for
+words; the digit limit is checked before the first piece, from the largest
+integer to be written.
 """
 
 from __future__ import annotations
@@ -19,15 +23,38 @@ from __future__ import annotations
 from itertools import islice
 from operator import attrgetter, itemgetter
 
-from .errors import LampkError, exact_int  # noqa: F401  (exact_int is importable here too)
+from .errors import LampkError, exact_int, quoted
 from .grouprep import GroupRepData
 from .shiftwords import Word
 from .zchain import Terms, ZChain
 
 
+def json_int(value, what: str) -> int:
+    """The JSON integer ``value``, an int that is not a bool.  What exact_int
+    refuses is refused as it words it; what it would read as an integer,
+    such as "1" or 1.0, is refused in the same words."""
+    if type(value) is int:
+        return value
+    exact_int(value, what)
+    raise LampkError(f"{what} must be an integer, got {quoted(value)}")
+
+
+def int_pairs(items, key_what: str, value_what: str):
+    """The (key, value) pairs of a JSON object, as they are taken, each key
+    read by exact_int and each value by json_int: in the order a library
+    entry reading its pairs with exact_int checks them."""
+    for key, value in items:
+        yield exact_int(key, key_what), json_int(value, value_what)
+
+
 def group_from_json(data: dict) -> GroupRepData:
     try:
-        return GroupRepData(data["name"], data["order"], data["dims"])
+        name, order, dims = data["name"], data["order"], data["dims"]
+        order = json_int(order, "group order")
+        # GroupRepData checks the name and the type of dims before any dim
+        if isinstance(name, str) and isinstance(dims, list):
+            dims = [json_int(d, "irrep dimension") for d in dims]
+        return GroupRepData(name, order, dims)
     except (KeyError, TypeError) as exc:
         raise LampkError(f"malformed group JSON: {exc}") from exc
 
@@ -43,7 +70,7 @@ def word_from_json(data: dict) -> Word:
         items = entries.items()
     except AttributeError as exc:
         raise LampkError(f"malformed word JSON: {exc}") from exc
-    return Word(items)
+    return Word(int_pairs(items, "word position", "word entry"))
 
 
 def chain_to_json(chain: ZChain) -> list:
@@ -134,7 +161,9 @@ def chain_from_json(data: list) -> ZChain:
     if not isinstance(data, list):
         raise LampkError("chain JSON must be an array of {word, coeff} objects")
     try:
-        return ZChain((word_from_json(item["word"]), item["coeff"]) for item in data)
+        return ZChain(
+            (word_from_json(item["word"]), json_int(item["coeff"], "coeff")) for item in data
+        )
     except (KeyError, TypeError) as exc:
         raise LampkError(f"malformed chain JSON: {exc}") from exc
 

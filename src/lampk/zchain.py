@@ -246,10 +246,10 @@ def coinvariant_class(chain: ZChain) -> ZChain:
 
 
 # Terms one projection expansion may build: C2 with 16 trivial pins
-# (65 536 terms) expands, in word order, in about 0.25 s, and `lampk
+# (65 536 terms) expands, in word order, in about 0.14 s, and `lampk
 # cylinder-expand` on it, printing 15 MB of JSON as the terms are made,
-# takes about 0.7 to 1.0 s cold at 18 MB peak RSS (Python 3.11 on a 2-core
-# Intel Xeon).
+# takes about 0.35 to 0.5 s cold at 14 to 14.6 MB peak RSS (Python 3.11 on
+# a 2-core Intel Xeon).
 MAX_CYLINDER_TERMS = 1 << 16
 
 

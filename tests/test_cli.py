@@ -266,11 +266,36 @@ def test_inline_group_non_integer_is_domain_error(capsys):
     for inline in (
         '{"name": "x", "order": "a", "dims": [1, 1]}',
         '{"name": "x", "order": 2, "dims": [1, 1.5]}',
+        # a digit string or an integral float is no JSON integer
+        '{"name": "x", "order": "2", "dims": [1, 1]}',
+        '{"name": "x", "order": 2.0, "dims": [1e0, 1]}',
+        '{"name": "x", "order": 2, "dims": ["1", 1]}',
     ):
         code, out, err = run_cli(capsys, "fingerprint", "--group", inline)
         assert code == 1
         assert out == ""
         assert "must be an integer" in json.loads(err)["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["trace", "--group", "C2", "--word", '{"0":"1"}'], "word entry must be an integer, got '1'"),
+        (["trace", "--group", "C2", "--word", '{"0":1.0}'], "word entry must be an integer, got 1.0"),
+        (["decompose", "--group", "C2", "--fn",
+          '[{"word":{"entries":{"-2":"1"}},"coeff":"3"}]'], "word entry must be an integer, got '1'"),
+        (["decompose", "--group", "C2", "--fn", '[{"word":{"entries":{"-2":1}},"coeff":"3"}]'],
+         "coeff must be an integer, got '3'"),
+        (["cylinder-expand", "--group", "C2", "--spec", '{"0":"1"}'],
+         "cylinder value must be an integer, got '1'"),
+    ],
+)
+def test_json_values_that_are_not_json_integers_are_domain_errors(capsys, argv, message):
+    # a digit string or an integral float is no JSON integer, though
+    # exact_int reads it as one for library callers
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == {"type": "LampkError", "message": message}
 
 
 def test_inline_group_of_the_wrong_shape_is_domain_error(capsys):
@@ -281,6 +306,8 @@ def test_inline_group_of_the_wrong_shape_is_domain_error(capsys):
         ('{"name": "x", "order": 2, "dims": {"1": 0, "01": 0}}', "dims must be a list"),
         ('{"name": ["x"], "order": 2, "dims": [1, 1]}', "name must be a string"),
         ('{"name": 6, "order": 6, "dims": [1, 1, 2]}', "name must be a string"),
+        # no group of order 5 has an irrep of dimension 2 (Frobenius)
+        ('{"name": "x", "order": 5, "dims": [1, 2]}', "dimension 2 does not divide the order 5"),
     ):
         code, out, err = run_cli(capsys, "fingerprint", "--group", inline)
         assert (code, out) == (1, "")
@@ -561,9 +588,14 @@ def test_wide_words_print_in_order_quickly(capsys, argv):
 
 def test_huge_bases_end_in_the_contract_quickly(capsys):
     # an inline group whose order has 3 001 digits: |F|^2 is over the digit
-    # limit already, so no power near |F|^14 286 is ever built
-    d = 10**1500
-    group = json.dumps({"name": "big", "order": 1 + d * d, "dims": [1, d]})
+    # limit already, so no power near |F|^14 286 is ever built.  Its dims,
+    # the Fibonacci numbers F(7177) and F(7179), each divide the order: for
+    # odd n, F(n - 2) F(n + 2) = F(n)^2 + 1 (Catalan's identity)
+    a, b = 0, 1
+    for _ in range(7177):
+        a, b = b, a + b
+    b += a  # a = F(7177), b = F(7178) + F(7177) = F(7179)
+    group = json.dumps({"name": "big", "order": 1 + a * a + b * b, "dims": [1, a, b]})
     old_limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)
     try:

@@ -35,8 +35,10 @@ SUBCOMMANDS = {
 
 HUGE = "9" * 5000  # past the interpreter's default digit limit
 GROUPS = ["C2", "C3", "C4", "klein4", "S3", "Q8", "A5",
-          '{"name": "g", "order": 5, "dims": [1, 2]}']
+          '{"name": "g", "order": 6, "dims": [1, 1, 2]}']
 BAD_GROUPS = ["C1", "C100000000", "C" + HUGE, "nope", "{", "[1, 2]", '{"name": "g"}',
+              '{"name": "g", "order": 5, "dims": [1, 2]}',
+              '{"name": "g", "order": "2", "dims": [1, 1]}',
               '{"name": "g", "order": 6, "dims": [1, 1, 2.5]}',
               '{"name": "g", "order": true, "dims": [1, 1]}',
               '{"name": "g", "order": %s, "dims": [1]}' % HUGE]

@@ -37,6 +37,20 @@ def _chain(*terms) -> str:
 
 FAR = "9" * 4300  # one digit short of the interpreter's string limit
 
+
+def _fibonacci(n: int) -> int:
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
+# An inline group whose order has 3 001 digits, with dims that pass every
+# check: for odd n, F(n - 2) F(n + 2) = F(n)^2 + 1 (Catalan's identity), so
+# F(n - 2) and F(n) each divide 1 + F(n - 2)^2 + F(n)^2.
+_A, _B = _fibonacci(7177), _fibonacci(7179)
+BIG = json.dumps({"name": "big", "order": 1 + _A * _A + _B * _B, "dims": [1, _A, _B]})
+
 CASES = [
     # every subcommand
     ["fingerprint", "--group", "C2"],
@@ -100,9 +114,7 @@ CASES = [
     ["fingerprint", "--group", "C30000000"],
     ["fingerprint", "--group", "C" + "7" * 5000],
     ["trace-image", "--group", "C2", "--level", "14285"],
-    ["trace-image", "--group",
-     '{"name": "big", "order": 1%s1, "dims": [1, 1%s]}' % ("0" * 2999, "0" * 1500),
-     "--level", "20000"],
+    ["trace-image", "--group", BIG, "--level", "20000"],
     ["decompose", "--group", "C2", "--fn", '[{"word": {"entries": {"0": 1}}, "coeff": %s}]'
      % ("9" * 5001)],
     ["livsic", "--group", "C2", "--fn", _chain(({"-" + FAR: 1, FAR: 1}, 1))],

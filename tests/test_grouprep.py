@@ -84,6 +84,9 @@ def test_validate():
         GroupRepData(name="bad", order=1, dims=(1,))
     with pytest.raises(GroupDataError, match="divide"):
         GroupRepData(name="bad", order=7, dims=(1, 1, 1, 2))
+    # Frobenius: each irrep dimension divides the order
+    with pytest.raises(GroupDataError, match="^'bad': irrep dimension 2 does not divide the order 5$"):
+        GroupRepData(name="bad", order=5, dims=(1, 2))
     # a string, bytes or mapping is not read one character, byte or key at a
     # time as if it were a list, and a name is a string, not printed as a repr
     for dims in ("11", b"\x01\x01", bytearray(b"\x01\x01"), {"1": 0, "01": 0}, {1: 0, 2: 0}):

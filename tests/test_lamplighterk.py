@@ -89,7 +89,7 @@ def test_trace_descends_to_classes(chain):
 groups_st = st.sampled_from(["C2", "C3", "C5", *_CATALOG]).map(builtin) | st.lists(
     st.integers(1, 4), min_size=1, max_size=4
 ).map(lambda dims: (1, *dims)).filter(
-    lambda dims: sum(d * d for d in dims) % dims.count(1) == 0
+    lambda dims: all(sum(d * d for d in dims) % n == 0 for n in (dims.count(1), *dims))
 ).map(lambda dims: GroupRepData("inline", sum(d * d for d in dims), dims))
 
 

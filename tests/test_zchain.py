@@ -1,11 +1,14 @@
 import io
 import json
+import os
+import subprocess
 import sys
 import time
 import tracemalloc
 from fractions import Fraction
 from itertools import islice, product
 from math import prod
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -392,6 +395,38 @@ def test_lettered_pins_build_in_linear_time():
     chain = projection_chain(builtin("C2"), pins)
     assert time.monotonic() - start < 2
     assert [(w.entries, c) for w, c in chain.items()] == [(tuple(pins), 1)]
+
+
+def test_projection_terms_leave_peak_rss_flat():
+    # Each word's entries are allocated once at their size, so taking the
+    # 6 561 terms of a C3 cylinder with 8 trivial pins, which hold about
+    # 0.1 MB at a time, does not raise the peak RSS of a fresh interpreter
+    # (tuples made at a guessed size and shrunk raised it about 0.5 MB).
+    try:
+        with open("/proc/self/status") as file:
+            status = file.read()
+    except OSError:
+        status = ""
+    if "\nVmHWM:" not in status:
+        pytest.skip("no VmHWM in /proc/self/status")
+    probe = (
+        "from collections import deque\n"
+        "from lampk.grouprep import builtin\n"
+        "from lampk.zchain import projection_terms\n"
+        "def hwm():\n"
+        "    with open('/proc/self/status') as file:\n"
+        "        return next(int(l.split()[1]) for l in file if l.startswith('VmHWM:'))\n"
+        "terms = projection_terms(builtin('C3'), [(p, 0) for p in range(8)])\n"
+        "before = hwm()\n"
+        "deque(terms, maxlen=0)\n"
+        "print(hwm() - before)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(zchain.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 256, f"VmHWM grew {proc.stdout.strip()} kB"
 
 
 # --- word order of built chains ----------------------------------------------

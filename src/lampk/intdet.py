@@ -4,10 +4,13 @@ Both take a matrix as sparse columns of (row, value) pairs and run one
 elimination, singleton peeling (structured Gaussian elimination,
 LaMacchia-Odlyzko 1990): it repeatedly expands along a column or row with a
 single nonzero entry, which creates no fill-in and needs no division.  The
-certificate matrices of ``colimitk`` are triangular by level and peel away
-completely (the proof is in ``colimitk.claim_matrix``), and so do the other
-matrices the package builds.  A matrix that leaves a core with nonzero
-entries behind is refused with ``LampkError``: there is no dense fallback.
+certificate matrices of ``colimitk`` are triangular by level, so they peel
+away completely; ``colimitk._triangular_det`` proves that shape column by
+column and reads the determinant from it with ``_parity``, so ``det`` sees
+a certificate only when a column is not of that shape.  The other matrices
+the package builds (the Z-freeness check of ``selfcheck``) peel away too.
+A matrix that leaves a core with nonzero entries behind is refused with
+``LampkError``: there is no dense fallback.
 """
 
 from __future__ import annotations
@@ -17,16 +20,17 @@ from math import prod
 from .errors import LampkError
 
 
-def _parity(order: list[int]) -> int:
-    """Sign of a permutation of range(len(order))."""
-    seen = [False] * len(order)
+def _parity(order) -> int:
+    """Sign of a permutation of range(len(order)), given as the sequence
+    of its images (a list, or a buffer of C integers)."""
+    seen = bytearray(len(order))
     sign = 1
     for start in range(len(order)):
         if seen[start]:
             continue
         j, length = start, 0
         while not seen[j]:
-            seen[j] = True
+            seen[j] = 1
             j = order[j]
             length += 1
         if length % 2 == 0:

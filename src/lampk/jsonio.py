@@ -6,8 +6,10 @@ data is {"name", "order", "dims"}; traces are emitted as {"num", "den"}
 from their reduced integer pairs.
 Chains and words re-parse to the same value.  A JSON value that stands
 for an integer must be a JSON integer (``json_int``): "1" and 1.0, which
-errors.exact_int reads as 1 for library callers, are refused, while
-object keys are still read by exact_int.  Values are checked pair by pair
+errors.exact_int reads as 1 for library callers, are refused, and a
+position given as an object key must be written as a plain ASCII decimal
+(``0|-?[1-9][0-9]*``): "+1", " 1", "1_0", "01" and "-0", which int()
+reads, are refused too.  Values are checked pair by pair
 as the library reads them, so the first refusal and its message are the
 ones the library would give.  Nothing here checks a value against its
 group: the constructors and the library entries a value goes to do.  A
@@ -20,6 +22,7 @@ integer to be written.
 
 from __future__ import annotations
 
+import re
 from itertools import islice
 from operator import attrgetter, itemgetter
 
@@ -39,11 +42,20 @@ def json_int(value, what: str) -> int:
     raise LampkError(f"{what} must be an integer, got {quoted(value)}")
 
 
+# A JSON object key read as an integer: one way to write each integer.
+_DECIMAL_KEY = re.compile("0|-?[1-9][0-9]*")
+
+
 def int_pairs(items, key_what: str, value_what: str):
     """The (key, value) pairs of a JSON object, as they are taken, each key
     read by exact_int and each value by json_int: in the order a library
-    entry reading its pairs with exact_int checks them."""
+    entry reading its pairs with exact_int checks them.  A string key (as
+    every key of parsed JSON is) must be a plain decimal first: any other
+    is refused in exact_int's words, and exact_int refuses one past the
+    digit limit."""
     for key, value in items:
+        if isinstance(key, str) and not _DECIMAL_KEY.fullmatch(key):
+            raise LampkError(f"{key_what} must be an integer, got {quoted(key)}")
         yield exact_int(key, key_what), json_int(value, value_what)
 
 

@@ -483,7 +483,9 @@ def test_out_of_range_irrep_index_is_domain_error(capsys):
     [
         ["cylinder-expand", "--group", "C2", "--spec", '{"0":7}'],
         ["cylinder-expand", "--group", "C2", "--spec", '{"0":-1}'],
-        ["cylinder-expand", "--group", "C2", "--spec", '{"1":0,"01":1}'],
+        # a pin off the group after two that are on it ("01", as a second
+        # pin at 1, is refused as no plain decimal before the library reads it)
+        ["cylinder-expand", "--group", "C2", "--spec", '{"1":0,"2":1,"3":2}'],
         ["cylinder-expand", "--group", "S3", "--spec", '{"0":7}'],
         ["decompose", "--group", "C2", "--fn", '[{"word":{"entries":{"0":7}},"coeff":1}]'],
         ["livsic", "--group", "C2", "--fn", '[{"word":{"entries":{"0":7}},"coeff":1}]'],
@@ -796,10 +798,31 @@ def test_cylinder_spec_non_integer_key_is_domain_error(capsys):
     assert "error" in json.loads(err)
 
 
+@pytest.mark.parametrize("key", ["1_0", " 3 ", "+0", "00", "-0", "01", "١", "3.0", "1e3"])
+@pytest.mark.parametrize(
+    "command, flag, template, what",
+    [
+        ("trace", "--word", "{}", "word position"),
+        ("cylinder-expand", "--spec", "{}", "cylinder position"),
+        ("decompose", "--fn", '[{{"word":{{"entries":{}}},"coeff":1}}]', "word position"),
+    ],
+)
+def test_position_key_must_be_a_plain_decimal(capsys, key, command, flag, template, what):
+    # int() reads most of these keys, some as an integer a plain decimal
+    # writes another way; a position is read only from a plain decimal
+    entries = json.dumps({key: 1})
+    code, out, err = run_cli(capsys, command, "--group", "C2", flag, template.format(entries))
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == {
+        "type": "LampkError", "message": f"{what} must be an integer, got {key!r}",
+    }
+
+
 @pytest.mark.parametrize("spec", ['{"0":0,"00":1}', '{"0":1,"-0":0}'])
 def test_cylinder_spec_duplicate_position_is_domain_error(capsys, spec):
-    # both keys denote position 0: conflicting pins define an empty
-    # cylinder, and the last one must not silently win
+    # a position key is a plain decimal, so no JSON object can name one
+    # position twice: "00" and "-0" are refused as non-integers, not read
+    # as a second pin at 0
     code, out, err = run_cli(
         capsys, "cylinder-expand", "--group", "C2", "--spec", spec
     )
@@ -807,7 +830,12 @@ def test_cylinder_spec_duplicate_position_is_domain_error(capsys, spec):
     assert out == ""
     error = json.loads(err)["error"]
     assert error["type"] == "LampkError"
-    assert error["message"] == "duplicate position 0 in word entries"
+    second = json.loads(spec).keys() - {"0"}
+    assert error["message"] == f"cylinder position must be an integer, got {second.pop()!r}"
+    # conflicting pins at one position define an empty cylinder, and the
+    # library refuses them rather than letting the last one win
+    with pytest.raises(LampkError, match="^duplicate position 0 in word entries$"):
+        projection_chain(builtin("C2"), [(0, 0), (0, 1)])
 
 
 @pytest.mark.parametrize(

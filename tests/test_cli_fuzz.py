@@ -47,7 +47,10 @@ BAD_INTS = ["-1", "0", "1000000", str(10**100), str(-(10**100)), "1.5", "true", 
 SCALARS = [0, 1, 2, 3, 7, -1, 10**8, -(10**8), 10**100, 1.5, 2.0, 1e308, True, False,
            None, "", "1", "a", "1.5"]
 POSITIONS = ["0", "1", "2", "3", "-1", "-2", "100000000", "-100000000"]
-KEYS = ["0", "1e3", "x", "word", "entries", "coeff", "name", "order", "dims"]
+# the last six are keys int() reads that are no plain decimal: as a
+# position, each is refused
+KEYS = ["0", "1e3", "x", "word", "entries", "coeff", "name", "order", "dims",
+        "1_0", " 3 ", "+0", "00", "-0", "\u0661"]
 RAW = [
     f'[{{"word": {{"entries": {{"0": 1}}}}, "coeff": {HUGE}}}]',
     f'{{"{HUGE}": 1}}',

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lampk import intdet
+from lampk import colimitk, intdet
 from lampk.colimitk import (
     MAX_CERTIFICATE_COLUMNS,
     claim_check,
@@ -14,6 +14,7 @@ from lampk.colimitk import (
     level_tuples,
     total_size,
     tuple_dim,
+    tuple_row,
 )
 from lampk.errors import BudgetError, GroupDataError, LampkError, TruncationError
 from lampk.grouprep import GroupRepData, builtin
@@ -171,10 +172,78 @@ certificate_inputs = st.tuples(st.sampled_from(_INLINE_GROUPS), st.integers(2, 4
 
 @given(certificate_inputs)
 def test_certificate_peels_to_a_unit(case):
-    # the triangularity proof in claim_matrix: peeling leaves no core, so
-    # det never raises, and the determinant is +-1
+    # the matrix is triangular (the proof is in colimitk._triangular_det):
+    # peeling leaves no core, so det never raises, and the determinant is
+    # +-1 and the one claim_check reads from the shape
     group, levels = case
-    assert intdet.det(claim_matrix(group, levels)) in (1, -1)
+    determinant = intdet.det(claim_matrix(group, levels))
+    assert determinant in (1, -1)
+    assert claim_check(group, levels).det == determinant
+
+
+# the catalog's non-cyclic groups, and cyclic groups of 2, 3 and 5 irreps
+CATALOG = ["C2", "C3", "C5", "klein4", "S3", "D4", "Q8", "A4", "S4", "A5"]
+
+
+def catalog_truncations(max_columns):
+    """(group, N) for every catalog group at every N from 2 while the
+    certificate has at most ``max_columns`` columns."""
+    for name in CATALOG:
+        group, levels = builtin(name), 2
+        while total_size(group, levels) <= max_columns:
+            yield group, levels
+            levels += 1
+
+
+def test_streamed_determinant_is_the_matrix_determinant():
+    cases = list(catalog_truncations(5_000))
+    assert len(cases) == 50
+    for group, levels in cases:
+        assert claim_check(group, levels).det == intdet.det(claim_matrix(group, levels)), (
+            group.name, levels)
+
+
+def test_tuple_row_is_the_certificate_row_order():
+    for group, levels in (builtin("C2"), 4), (builtin("S3"), 3), (builtin("A5"), 2):
+        rows = [t for n in range(1, levels + 1) for t in level_tuples(group, n)]
+        assert [tuple_row(group, t) for t in rows] == list(range(len(rows)))
+
+
+def test_catalog_certificates_build_no_matrix(monkeypatch):
+    def spy(*args):
+        raise AssertionError("the certificate fell back to the whole matrix")
+
+    monkeypatch.setattr(colimitk, "claim_matrix", spy)
+    monkeypatch.setattr(intdet, "det", spy)
+    for group, levels in catalog_truncations(20_000):
+        assert claim_check(group, levels).holds
+
+
+def test_a_column_off_the_proven_shape_takes_the_fallback(monkeypatch):
+    # weight 1 in place of d_sigma: the matrix is still unimodular, but an
+    # S3 column, with d_2 = 2, is not of the shape the shortcut proves
+    def unit_weights(group, vec, levels):
+        out = {}
+        for t, c in vec.items():
+            out[t] = out.get(t, 0) + c
+            for sigma in range(group.num_irreps):
+                out[(*t, sigma)] = out.get((*t, sigma), 0) - c
+        return {t: c for t, c in out.items() if c}
+
+    s3 = builtin("S3")
+    monkeypatch.setattr(colimitk, "f_apply", unit_weights)
+    assert colimitk._triangular_det(s3, 3) is None
+    matrices = []
+
+    def built(group, levels):
+        matrices.append(claim_matrix(group, levels))
+        return matrices[-1]
+
+    monkeypatch.setattr(colimitk, "claim_matrix", built)
+    expected = intdet.det(claim_matrix(s3, 3))
+    assert expected in (1, -1)
+    assert claim_check(s3, 3).det == expected
+    assert len(matrices) == 1 and intdet.det(matrices[0]) == expected
 
 
 def test_claim_certificate_is_a_named_tuple():

@@ -21,6 +21,7 @@ import math
 import os
 import sys
 import types
+from functools import partial
 
 from . import BOUNDARY_IDENTITY, DEFAULT_SEED
 from .errors import LampkError, check_budget, quoted
@@ -94,24 +95,21 @@ def _load_chain(path_or_json: str):
 
 def _emit(payload: dict) -> None:
     """Print the payload as ``json.dumps(payload, indent=2, ensure_ascii=False)``
-    would, with each zchain.Terms value written as its chain JSON and each
-    list of Words as its word list JSON.
+    would, with each callable value written as the pieces it returns when
+    called with the indent: a handler puts a jsonio writer there, bound to
+    the chain's terms or the word list it streams.
 
     The text goes to ``sys.stdout``, looked up here, as a stream of pieces:
     a chain or word list a few terms at a time, so its whole text is never
-    held, and a chain's terms are made as they are written, in the word
+    held, and its terms or words are made as they are written, in the word
     order they are built in, with no sort.
     Whatever would make the result unprintable is found before the first
     byte is written, so a refused result leaves stdout empty: every key and
     every other value is encoded (a lone surrogate in an echoed name cannot
-    be), and the chain and word writers check the digit limit when called.
-    Their text is ASCII, so it needs no encoding check.
+    be), and the writers check the digit limit when called.  Their text is
+    ASCII, so it needs no encoding check.
     """
     stdout = sys.stdout
-    # Terms or a Word exist only once their module is loaded, so look the
-    # module up rather than import it on every subcommand's path.
-    zchain = sys.modules.get(f"{__package__}.zchain")
-    shiftwords = sys.modules.get(f"{__package__}.shiftwords")
     encoding = getattr(stdout, "encoding", None) or "utf-8"
     errors = getattr(stdout, "errors", None) or "strict"
     parts = []  # iterables of pieces, written in turn
@@ -119,19 +117,8 @@ def _emit(payload: dict) -> None:
         for key, value in payload.items():
             head = (",\n  " if parts else "{\n  ") + json.dumps(key, ensure_ascii=False) + ": "
             head.encode(encoding, errors)
-            if zchain is not None and isinstance(value, zchain.Terms):
-                from . import jsonio
-
-                pieces = jsonio.terms_pieces(value, "  ")
-            elif (
-                shiftwords is not None
-                and isinstance(value, list)
-                and value
-                and isinstance(value[0], shiftwords.Word)
-            ):
-                from . import jsonio
-
-                pieces = jsonio.words_pieces(value, "  ")
+            if callable(value):
+                pieces = value("  ")
             else:
                 text = json.dumps(value, indent=2, ensure_ascii=False).replace("\n", "\n  ")
                 text.encode(encoding, errors)
@@ -173,18 +160,21 @@ def cmd_classify(args, group):
 
 def cmd_words(args, group):
     """orbits and k0-basis: the canonical words, which are the K0 basis too."""
-    from .shiftwords import enumerate_canonical
+    from . import jsonio, shiftwords
 
-    words = enumerate_canonical(group, args.max_len)
+    words = shiftwords.canonical_words(group, args.max_len)
     if args.format == "table":
         for line in _word_table(words):
             print(line)
         return None, 0
-    payload = {"group": group.name, "max_len": args.max_len, "count": len(words)}
+    count = shiftwords.canonical_count(group, args.max_len)
+    payload = {"group": group.name, "max_len": args.max_len, "count": count}
+    # positions run from 0 to max_len - 1
+    pieces = partial(jsonio.words_pieces, words, args.max_len - 1)
     if args.command == "orbits":
-        payload["words"] = words
+        payload["words"] = pieces
     else:
-        payload["basis"] = words
+        payload["basis"] = pieces
         # a theorem (zchain.projection_chain is unitriangular), checked by
         # acceptance criterion 5, not recomputed on every call
         payload["sides_identical"] = True
@@ -246,14 +236,15 @@ def cmd_trace_image(args, group):
 
 
 def cmd_decompose(args, group):
+    from . import jsonio
     from .fullshift import coboundary_terms
 
     chain = _load_chain(args.fn)
     witness, canonical = coboundary_terms(group, chain)
     return {
         "group": group.name,
-        "witness": witness,
-        "canonical": canonical,
+        "witness": partial(jsonio.terms_pieces, witness),
+        "canonical": partial(jsonio.terms_pieces, canonical),
     }, 0
 
 
@@ -280,7 +271,8 @@ def cmd_cylinder_expand(args, group):
     if not isinstance(raw, dict):
         raise UsageError("--spec: expected an object of position -> value")
     pins = jsonio.int_pairs(raw.items(), "cylinder position", "cylinder value")
-    return {"group": group.name, "chain": cylinder_terms(group, pins)}, 0
+    terms = cylinder_terms(group, pins)
+    return {"group": group.name, "chain": partial(jsonio.terms_pieces, terms)}, 0
 
 
 def cmd_selfcheck(args, group):

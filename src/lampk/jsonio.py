@@ -13,11 +13,12 @@ reads, are refused too.  Values are checked pair by pair
 as the library reads them, so the first refusal and its message are the
 ones the library would give.  Nothing here checks a value against its
 group: the constructors and the library entries a value goes to do.  A
-chain is written from its Terms, the pairs made as they are taken in word
-order, and a word list from its words: each as a stream of pieces of a few
-terms or words, never as one text, by one writer for terms and one for
-words; the digit limit is checked before the first piece, from the largest
-integer to be written.
+chain is written from its Terms and a word list from its words, each
+made as it is taken in word order: as a stream of pieces of a few terms
+or words, never as one text, by one writer for terms and one for words.
+Each writer is given the largest integer it will write (``Terms.largest``,
+or the largest position of the words) and checks the digit limit with it
+before the first piece.
 """
 
 from __future__ import annotations
@@ -107,7 +108,8 @@ def _entries_writer(n: str):
 
 def _largest(words, coeffs=()) -> int:
     """The largest magnitude of an integer written with these words and
-    coefficients.  The positions of largest magnitude are the smallest
+    coefficients, found by scanning them: the oracle ``Terms.largest`` is
+    tested against.  The positions of largest magnitude are the smallest
     first position and the largest last one.  Irrep indices are left out:
     each is below its group's number of irreps."""
     largest = max(map(abs, coeffs), default=0)
@@ -158,12 +160,14 @@ def terms_pieces(terms: Terms, indent: str = ""):
     )
 
 
-def words_pieces(words: list[Word], indent: str = ""):
+def words_pieces(words, largest: int, indent: str = ""):
     """``json.dumps([word_to_json(w) for w in words], indent=2)`` as pieces of
     text of a few words each, written straight from the entries as
-    terms_pieces writes a chain, with ``indent`` after every newline and the
-    digit limit checked when this is called."""
-    str(_largest(words))
+    terms_pieces writes a chain, with ``indent`` after every newline.  The
+    words are taken as the pieces are; ``largest`` is the largest magnitude
+    of their positions, and the digit limit is checked with it when this is
+    called."""
+    str(largest)
     n = "\n" + indent
     entries_text = _entries_writer(n + "    ")
     return _array_pieces((f"  {{{n}    {entries_text(word.entries)}{n}  }}" for word in words), n)

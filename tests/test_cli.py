@@ -7,12 +7,13 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lampk import cli, jsonio
+from lampk import cli, jsonio, shiftwords
 from lampk.cli import MAX_CHAIN_FILE_CHARS, main
 from lampk.errors import BudgetError, LampkError
 from lampk.fullshift import (
@@ -105,8 +106,10 @@ word_lists = st.lists(words, max_size=6)
 @example([Word(), Word({0: 1}), Word({-(10**30): 3, 0: 1, 5: 2})])
 def test_words_text_is_the_indented_dump(ws):
     dump = json.dumps([jsonio.word_to_json(w) for w in ws], indent=2)
-    assert "".join(jsonio.words_pieces(ws)) == dump
-    assert "".join(jsonio.words_pieces(ws, "  ")) == dump.replace("\n", "\n  ")
+    largest = jsonio._largest(ws)
+    # the words are taken once, as the pieces are
+    assert "".join(jsonio.words_pieces(iter(ws), largest)) == dump
+    assert "".join(jsonio.words_pieces(iter(ws), largest, "  ")) == dump.replace("\n", "\n  ")
 
 
 class StdoutRecorder:
@@ -123,16 +126,17 @@ class StdoutRecorder:
 
 
 def test_chains_and_word_lists_are_written_a_few_terms_at_a_time(monkeypatch):
+    # the payloads the handlers return, with their writers bound in
     c3, c2 = builtin("C3"), builtin("C2")
     pins = [(p, 0) for p in range(8)]
     chain = cylinder_to_chain(c3, pins)
+    spec = json.dumps({str(p): v for p, v in pins})
     words = enumerate_canonical(c2, 11)
+    orbits = SimpleNamespace(command="orbits", max_len=11, format="json")
     cases = [
-        ({"group": "C3", "chain": cylinder_terms(c3, pins)}, {"chain": jsonio.chain_to_json(chain)}),
-        (
-            {"group": "C2", "max_len": 11, "count": len(words), "words": words},
-            {"words": [jsonio.word_to_json(w) for w in words]},
-        ),
+        (cli.cmd_cylinder_expand(SimpleNamespace(spec=spec), c3)[0],
+         {"chain": jsonio.chain_to_json(chain)}),
+        (cli.cmd_words(orbits, c2)[0], {"words": [jsonio.word_to_json(w) for w in words]}),
     ]
     for payload, as_json in cases:
         recorder = StdoutRecorder()
@@ -370,6 +374,24 @@ def test_word_lists_are_the_indented_dump(capsys, monkeypatch, command):
     assert out == json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
     with pytest.raises(AssertionError, match="_word_table called"):
         main([command, "--group", "C2", "--max-len", "2", "--format", "table"])
+
+
+def test_word_lists_are_never_built_whole(capsys, monkeypatch):
+    def no_list(group, max_len):
+        raise AssertionError("enumerate_canonical called")
+
+    monkeypatch.setattr(shiftwords, "enumerate_canonical", no_list)
+    for command in ("orbits", "k0-basis"):
+        for argv in (("--max-len", "6"), ("--max-len", "2", "--format", "table")):
+            code, out, err = run_cli(capsys, command, "--group", "S3", *argv)
+            assert (code, err) == (0, "") and out
+
+
+@pytest.mark.parametrize("command, key", [("orbits", "words"), ("k0-basis", "basis")])
+def test_word_list_count_is_the_printed_length(capsys, command, key):
+    for name, max_len in (("C2", 1), ("C2", 16), ("C3", 5), ("S3", 4), ("A5", 3)):
+        data = run_json(capsys, command, "--group", name, "--max-len", str(max_len))
+        assert data["count"] == len(data[key]) == len(enumerate_canonical(builtin(name), max_len))
 
 
 def test_k1(capsys):

@@ -6,13 +6,14 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from lampk.errors import BudgetError, GroupDataError, LampkError
-from lampk.grouprep import GroupRepData, builtin
+from lampk.grouprep import _CATALOG, GroupRepData, builtin
 from lampk.shiftwords import (
     EMPTY_WORD,
     MAX_CANONICAL_WORDS,
     Word,
     _product_words,
     canonical_count,
+    canonical_words,
     canonicalize,
     enumerate_canonical,
     shift,
@@ -206,8 +207,51 @@ def test_product_words_are_in_word_order(choices):
 
 
 def test_enumerate_rejects_bad_len():
-    with pytest.raises(LampkError):
-        enumerate_canonical(builtin("C2"), 0)
+    for name in ("C2", "S3"):
+        for max_len in (0, -3):
+            message = f"^max_len must be >= 1, got {max_len}$"
+            for call in (enumerate_canonical, canonical_words, canonical_count):
+                with pytest.raises(LampkError, match=message):
+                    call(builtin(name), max_len)
+
+
+def test_canonical_count_is_the_closed_form():
+    # summed over window lengths: the empty word and r - 1 letters, then
+    # (r - 1)^2 r^(n - 2) words of each length n >= 2
+    for name in ("C2", "C3", "S3", "A5"):
+        r = builtin(name).num_irreps
+        for max_len in range(1, 30):
+            by_length = r + sum((r - 1) ** 2 * r ** (n - 2) for n in range(2, max_len + 1))
+            assert canonical_count(builtin(name), max_len) == by_length
+    # and far past the word limit, which the count itself does not apply
+    assert canonical_count(builtin("C2"), 20_000) == 1 + 2**19_999
+    assert canonical_count(builtin("S3"), 10**4) == 1 + 2 * 3 ** (10**4 - 1)
+
+
+@pytest.mark.parametrize("name", ["C2", "C3", "C5", *_CATALOG])
+def test_canonical_words_are_the_sorted_orbit_representatives(name):
+    group = builtin(name)
+    r = group.num_irreps
+    for max_len in range(1, 5):
+        reps = {
+            canonicalize(Word((p, v) for p, v in enumerate(vec) if v))[0]
+            for vec in product(range(r), repeat=max_len)
+        }
+        words = list(canonical_words(group, max_len))
+        assert words == enumerate_canonical(group, max_len)
+        assert words == sorted(reps, key=Word.sort_key)
+        assert len(words) == canonical_count(group, max_len)
+
+
+def test_canonical_words_are_made_as_they_are_taken():
+    c2 = builtin("C2")
+    # refused when called, before any word is taken
+    with pytest.raises(BudgetError):
+        canonical_words(c2, 17)
+    words = canonical_words(c2, 16)
+    assert next(words) == EMPTY_WORD
+    assert next(words) == Word({0: 1})
+    assert sum(1 for _ in words) == canonical_count(c2, 16) - 2
 
 
 def test_enumerate_size_guard():
